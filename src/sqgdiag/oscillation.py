@@ -29,8 +29,10 @@ punctured midpoint rule.
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
 from .constants import choose_delta
 from .spectral import (
@@ -213,6 +215,25 @@ def _kernel_sum(theta_vals, d1, d2, region_mask, h):
     return np.array([w1, w2])
 
 
+@lru_cache(maxsize=4)
+def _kernel_spectrum(grid):
+    """Half-spectra (rfft2) of the two components of the lattice kernel.
+
+    c h^2 u^perp / |u|^3 at the minimal-image node offsets u = m h,
+    m in [-n/2, n/2) in FFT order, zero at u = 0: the weights _kernel_sum
+    applies at grid-node targets.  The grid fixes the kernel, so it keys
+    the cache.
+    """
+    h = grid.spacing
+    u = np.fft.fftfreq(grid.n, 1.0 / grid.n) * h
+    u1, u2 = u[:, None], u[None, :]
+    r2 = u1 * u1 + u2 * u2
+    r2[0, 0] = 1.0
+    weight = RIESZ_KERNEL_CONSTANT * h * h / r2**1.5
+    weight[0, 0] = 0.0
+    return rfft2(-u2 * weight), rfft2(u1 * weight)
+
+
 @dataclass
 class VelocitySplit:
     """Truncated-kernel decomposition of the velocity around a center.
@@ -223,7 +244,13 @@ class VelocitySplit:
     B_{2/rho} minus B_2, w3 over the complement of B_{2/rho} with the kernel
     recentred by its value at the center, and the constant w_bar.  Regions
     are truncated at the fundamental-domain boundary; ``truncated`` flags
-    whether B_{2/rho} overflowed the domain.
+    whether B_{2/rho} overflowed the domain, ``far_empty`` whether the far
+    region holds no node (then w3 and w_bar vanish identically).
+
+    Off the grid, w2 and w3 are direct kernel sums.  At grid nodes the sum
+    over a region fixed around the center is the circular cross-correlation
+    of theta * 1_region with the lattice kernel, so sup_slow_components
+    gets every node from one FFT correlation per region.
     """
 
     theta: ScalarField
@@ -234,23 +261,23 @@ class VelocitySplit:
         if self.rho is not None and not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
         grid = self.theta.grid
-        self._d1c, self._d2c = grid.displacement(self.center)
-        r2 = self._d1c**2 + self._d2c**2
+        d1c, d2c = grid.displacement(self.center)
+        r2 = d1c**2 + d2c**2
         self._inner = r2 < 4.0
         half = 0.5 * grid.side_length
         if self.rho is None:
             self._annulus = ~self._inner
             self._far = np.zeros_like(self._inner)
             self.truncated = half < 4.0
-            self.w_bar = np.zeros(2)
         else:
             r_far = 2.0 / self.rho
             self._annulus = (~self._inner) & (r2 < r_far**2)
             self._far = r2 >= r_far**2
             self.truncated = r_far > half
-            self.w_bar = _kernel_sum(
-                self.theta.values, self._d1c, self._d2c, self._far, grid.spacing
-            )
+        self.far_empty = not self._far.any()
+        self.w_bar = np.zeros(2)
+        if not self.far_empty:
+            self.w_bar = _kernel_sum(self.theta.values, d1c, d2c, self._far, grid.spacing)
         self._grad = None
 
     def _gradient_at_node(self, i, j):
@@ -289,31 +316,56 @@ class VelocitySplit:
 
     def w3(self, point):
         """Far piece with the kernel recentred at the split center."""
-        if self.rho is None:
+        if self.far_empty:
             return np.zeros(2)
         grid = self.theta.grid
-        h = grid.spacing
         d1, d2 = grid.displacement(point)
-        r2 = d1 * d1 + d2 * d2
-        ok = self._far & (r2 > 1e-12)
-        inv_r3 = np.where(ok, 1.0 / np.where(ok, r2, 1.0) ** 1.5, 0.0)
-        r2c = self._d1c**2 + self._d2c**2
-        okc = self._far & (r2c > 1e-12)
-        inv_r3c = np.where(okc, 1.0 / np.where(okc, r2c, 1.0) ** 1.5, 0.0)
-        th = self.theta.values
-        k1 = RIESZ_KERNEL_CONSTANT * np.sum(th * (-d2 * inv_r3 + self._d2c * inv_r3c)) * h * h
-        k2 = RIESZ_KERNEL_CONSTANT * np.sum(th * (d1 * inv_r3 - self._d1c * inv_r3c)) * h * h
-        return np.array([k1, k2])
+        return _kernel_sum(self.theta.values, d1, d2, self._far, grid.spacing) - self.w_bar
 
     def slow(self, point):
         """w2 + w3: the continuous-in-x components driving the flow ODE."""
         return self.w2(point) + self.w3(point)
 
+    def _node_sums(self, region, points):
+        """_kernel_sum over ``region`` at each grid-node point, shape (k, 2).
+
+        One rfft2 of theta * 1_region and two irfft2 against the cached
+        kernel spectrum give the sum at every node.  The direct sum rounds
+        the antipodal offset n/2 of a target to +L/2 or -L/2 depending on
+        the target; the kernel holds -L/2, so where rounding gave +L/2 the
+        antipodal line's odd component is re-signed to reproduce it.
+        """
+        grid = self.theta.grid
+        n, half = grid.n, 0.5 * grid.side_length
+        line = 2.0 * RIESZ_KERNEL_CONSTANT * grid.spacing**2 * half
+        f = np.where(region, self.theta.values, 0.0)
+        spec = rfft2(f)
+        k1, k2 = _kernel_spectrum(grid)
+        c1 = irfft2(spec * np.conj(k1), s=grid.shape)
+        c2 = irfft2(spec * np.conj(k2), s=grid.shape)
+        out = []
+        for p in points:
+            i, j = self._node_index(p)
+            w = np.array([c1[i, j], c2[i, j]])
+            e1, e2 = grid.offsets(p[0]), grid.offsets(p[1])
+            a, b = (i + n // 2) % n, (j + n // 2) % n
+            if e1[a] > 0:  # row a entered with u1 = +L/2
+                w[1] += line * np.sum(f[a, :] / (half**2 + e2**2) ** 1.5)
+            if e2[b] > 0:  # column b entered with u2 = +L/2
+                w[0] -= line * np.sum(f[:, b] / (e1**2 + half**2) ** 1.5)
+            out.append(w)
+        return np.array(out)
+
     def sup_slow_components(self, points):
-        """(sup |w2|, sup |w3|) over the given evaluation points."""
-        s2 = max(float(np.hypot(*self.w2(p))) for p in points)
-        s3 = max(float(np.hypot(*self.w3(p))) for p in points)
-        return s2, s3
+        """(sup |w2|, sup |w3|) over the given grid nodes.
+
+        Non-node points raise ValueError; off-grid values come from w2/w3.
+        """
+        s2 = float(np.max(np.hypot(*self._node_sums(self._annulus, points).T)))
+        if self.far_empty:
+            return s2, 0.0
+        w3 = self._node_sums(self._far, points) - self.w_bar
+        return s2, float(np.max(np.hypot(*w3.T)))
 
 
 def split_velocity(theta, rho, center):
@@ -341,7 +393,9 @@ def calibrate_split_bound_constant(
     """Largest of sup|w2| / (-log rho) and sup|w3| / rho over the family.
 
     SPLIT_BOUND_CONSTANT freezes this number (with headroom); the suite
-    re-checks the bounds against the frozen value on a reduced sweep.
+    re-derives it with these defaults and also checks the frozen value at
+    the iteration's rho = 1/16 on a domain where the far region is
+    non-empty.
     """
     grid = Grid(n, side)
     c = (0.5 * side, 0.5 * side)
@@ -541,7 +595,8 @@ class OscillationRecord:
     max_shift: float
     containment_ok: bool
     bounds: RescaleOutcome
-    truncated_split: bool
+    truncated_split: bool  # B_{2/rho} overflowed the domain half-side
+    far_empty: bool  # no split of the step had a far node: w3 == 0 identically
 
     def to_json(self):
         d = {
@@ -560,6 +615,7 @@ class OscillationRecord:
             "outside_ok": self.bounds.outside_ok,
             "M_monotone": self.bounds.M_monotone,
             "truncated_split": self.truncated_split,
+            "far_empty": self.far_empty,
         }
         return json.dumps(d)
 
@@ -756,7 +812,6 @@ def run_iteration_suite(history, config):
         new_min = min(float(f.values[inside].min()) for f in new_history)
         produced_osc = new_max - new_min
         amplitude *= rho**delta
-        truncated = any(sp.truncated for sp in split_list)
         records.append(
             OscillationRecord(
                 step_index=k,
@@ -772,7 +827,8 @@ def run_iteration_suite(history, config):
                 max_shift=path.max_abs,
                 containment_ok=containment_ok,
                 bounds=outcome,
-                truncated_split=truncated,
+                truncated_split=any(sp.truncated for sp in split_list),
+                far_empty=all(sp.far_empty for sp in split_list),
             )
         )
         if not outcome.hypothesis_ok:

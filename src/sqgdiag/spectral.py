@@ -63,18 +63,23 @@ class Grid:
         k1, k2 = self.wavevectors()
         return np.sqrt(k1 * k1 + k2 * k2)
 
+    def offsets(self, coordinate):
+        """Minimal-image offsets of the 1-D node line from ``coordinate``."""
+        L = self.side_length
+        return (np.arange(self.n) * self.spacing - coordinate + 0.5 * L) % L - 0.5 * L
+
     def displacement(self, center):
         """Minimal-image displacement (D1, D2) of every node from ``center``.
 
         Components lie in [-side_length/2, side_length/2); used by every
         plane-kernel quadrature that centers the fundamental domain at a
-        point of interest.
+        point of interest.  The displacement is separable, so D1 and D2 are
+        read-only (n, n) broadcast views of the two 1-D offset lines
+        (D1[i, j] = offsets(center[0])[i]); copy them before writing.
         """
-        x1, x2 = self.coordinates()
-        L = self.side_length
-        d1 = (x1 - center[0] + 0.5 * L) % L - 0.5 * L
-        d2 = (x2 - center[1] + 0.5 * L) % L - 0.5 * L
-        return d1, d2
+        d1 = self.offsets(center[0])[:, None]
+        d2 = self.offsets(center[1])[None, :]
+        return np.broadcast_to(d1, self.shape), np.broadcast_to(d2, self.shape)
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Tails, cylinders, velocity splits, flow recentering, the iteration."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqgdiag.oscillation import (
     IterationConfig,
@@ -11,6 +14,7 @@ from sqgdiag.oscillation import (
     VelocitySplit,
     _bound_sample_points,
     admissible_field,
+    calibrate_split_bound_constant,
     holder_estimate,
     iteration_snapshot_times,
     normalize_window,
@@ -173,17 +177,24 @@ class TestVelocitySplit:
 
     def test_admissible_family_bounds_with_frozen_constant(self):
         # reduced sweep of the calibration family: the frozen constant
-        # bounds sup|w2| / (-log rho) and sup|w3| / rho
-        g = Grid(512, 20.0)
-        c = (10.0, 10.0)
-        pts = _bound_sample_points(g, c, 3, 8)
-        rho = 0.25
-        for i in range(3):
-            theta = admissible_field(g, c, 0.1, [77, 3, i])
-            sp = VelocitySplit(theta, c, rho)
-            s2, s3 = sp.sup_slow_components(pts)
-            assert s2 <= SPLIT_BOUND_CONSTANT * (-np.log(rho))
-            assert s3 <= SPLIT_BOUND_CONSTANT * rho
+        # bounds sup|w2| / (-log rho) and sup|w3| / rho.  rho = 1/16 is the
+        # iteration's rho; its domain is wide enough (half-side 40 > 32)
+        # that B_{2/rho} fits and the far region, hence w3, is non-empty
+        for grid, rho in ((Grid(512, 20.0), 0.25), (Grid(1024, 80.0), 1.0 / 16.0)):
+            c = (0.5 * grid.side_length, 0.5 * grid.side_length)
+            pts = _bound_sample_points(grid, c, 3, 8)
+            for i in range(3):
+                theta = admissible_field(grid, c, 0.1, [77, 3, i])
+                sp = VelocitySplit(theta, c, rho)
+                assert not sp.far_empty and not sp.truncated
+                s2, s3 = sp.sup_slow_components(pts)
+                assert s2 <= SPLIT_BOUND_CONSTANT * (-np.log(rho))
+                assert 0.0 < s3 <= SPLIT_BOUND_CONSTANT * rho
+
+    def test_frozen_constant_covers_calibration(self):
+        # the full calibration sweep, re-derived: the frozen constant must
+        # still bound it
+        assert 0.0 < calibrate_split_bound_constant() <= SPLIT_BOUND_CONSTANT
 
     def test_near_field_requires_grid_nodes(self):
         g = Grid(64, 16.0)
@@ -191,6 +202,68 @@ class TestVelocitySplit:
         sp = VelocitySplit(theta, (8.0, 8.0), 0.25)
         with pytest.raises(ValueError, match="grid-node"):
             sp.w1((8.0 + 0.4 * g.spacing, 8.0))
+
+    def test_node_sups_require_grid_nodes(self):
+        g = Grid(64, 16.0)
+        theta = random_band_limited(g, 4, [45, 0, 0])
+        sp = VelocitySplit(theta, (8.0, 8.0), 0.25)
+        node = (8.0, 8.0)
+        with pytest.raises(ValueError, match="grid-node"):
+            sp.sup_slow_components([node, (8.0, 8.0 + 0.4 * g.spacing)])
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [
+                (128, 4 * np.pi, None),
+                (128, 4 * np.pi, 0.25),  # B_8 overflows, corners are far
+                (256, 80.0, 1.0 / 16.0),  # B_32 fits: far region non-empty
+                (128, 16 * np.pi, 1.0 / 16.0),
+            ]
+        ),
+        offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_node_sups_match_direct_sums(self, case, offset, seed):
+        # the correlation route at nodes equals the direct kernel sums
+        n, side, rho = case
+        g = Grid(n, side)
+        c = (0.5 * side + offset[0], 0.5 * side + offset[1])
+        theta = random_band_limited(g, 8, [seed, 0, 0])
+        sp = VelocitySplit(theta, c, rho)
+        pts = _bound_sample_points(g, c, 3, 8)
+        direct = np.array(
+            [[np.hypot(*sp.w2(p)), np.hypot(*sp.w3(p))] for p in pts]
+        )
+        scale = direct.max(axis=0)
+        assert sp.sup_slow_components(pts) == pytest.approx(tuple(scale), rel=1e-12)
+        for p, want in zip(pts, direct):
+            got = np.array(sp.sup_slow_components([p]))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert (scale[1] == 0.0) == sp.far_empty
+
+    def test_node_sums_at_rounded_antipodes(self):
+        # on a 4 pi grid, the direct sum rounds the antipodal offset of
+        # some nodes to +L/2: the correlation route must follow it
+        g = Grid(128, 4 * np.pi)
+        h, n = g.spacing, g.n
+        flipped = [q for q in range(n) if g.offsets(q * h)[(q + n // 2) % n] > 0]
+        assert flipped
+        theta = random_band_limited(g, 8, [46, 0, 0])
+        sp = VelocitySplit(theta, (2 * np.pi, 2 * np.pi), None)
+        pts = [(flipped[0] * h, flipped[-1] * h), (flipped[0] * h, 0.0), (0.0, flipped[-1] * h)]
+        for p in pts:
+            want = np.hypot(*sp.w2(p))
+            assert sp.sup_slow_components([p])[0] == pytest.approx(want, rel=1e-12)
+
+    def test_far_piece_recentred_by_w_bar(self):
+        # w3 vanishes at the split center and w_bar is the far sum there
+        g = Grid(256, 80.0)
+        c = (40.0, 40.0)
+        theta = random_band_limited(g, 8, [47, 0, 0])
+        sp = VelocitySplit(theta, c, 1.0 / 16.0)
+        assert not sp.far_empty and np.all(sp.w_bar != 0.0)
+        assert np.max(np.abs(sp.w3(c))) <= 1e-15 * np.max(np.abs(sp.w_bar))
 
 
 class TestRecenterFlow:
@@ -350,8 +423,6 @@ class TestIterationSuite:
         assert all(a > b for a, b in zip(oscs, oscs[1:]))
 
     def test_report_lines_are_json(self):
-        import json
-
         g = Grid(256, 4 * np.pi)
         x1, _ = g.coordinates()
         times = np.linspace(0, 1, 13)
@@ -361,7 +432,28 @@ class TestIterationSuite:
         assert res.completed_steps == 1
         for line in res.report_lines():
             blob = json.loads(line)
-            assert {"k", "r_k", "osc", "max_V", "M_k"} <= set(blob)
+            assert {"k", "r_k", "osc", "max_V", "M_k", "far_empty"} <= set(blob)
+
+    def test_far_empty_reported_apart_from_truncation(self):
+        # rho = 1/4 on a 4 pi torus: from step 2 on, B_8 overflows the
+        # half-side 2 pi (truncated) but the corners, out to 2 pi sqrt(2),
+        # still hold far nodes; step 1's two-piece split has no far piece.
+        # rho exceeds the ledger's cap, so delta is given
+        L, rho, alpha = 4 * np.pi, 0.25, 0.95
+        g = Grid(256, L)
+        x1, _ = g.coordinates()
+        times = iteration_snapshot_times(1.0, rho, alpha, steps=2, per_window=8)
+        times = np.concatenate([[0.0], times[times > 0]])
+        raw = [ScalarField(g, np.exp(-t) * np.sin(x1 - L / 2), t) for t in times]
+        hist, M = normalize_window(raw, t_end=1.0)
+        res = run_iteration_suite(
+            hist, IterationConfig(rho=rho, M=M, alpha=alpha, steps=2, delta=0.1, ode_step_divisor=8)
+        )
+        assert res.completed_steps == 2, res.failure
+        first, second = [json.loads(line) for line in res.report_lines()]
+        assert first["far_empty"] and not first["truncated_split"]
+        assert not second["far_empty"] and second["truncated_split"]
+        assert second["w3_sup"] > 0.0
 
 
 class TestNaturalScalingCovariance:

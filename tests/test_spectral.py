@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqgdiag.spectral import (
     Grid,
@@ -60,6 +61,26 @@ class TestGrid:
         d1, d2 = g.displacement((0.0, 0.0))
         assert d1.max() < np.pi + 1e-12
         assert d1.min() >= -np.pi - 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([16, 64, 256]),
+        side=st.sampled_from([2 * np.pi, 4 * np.pi, 20.0, 80.0]),
+        c1=st.floats(-100.0, 100.0),
+        c2=st.floats(-100.0, 100.0),
+    )
+    def test_displacement_matches_meshgrid_formula(self, n, side, c1, c2):
+        # the separable views are bit-identical to the 2-D formula
+        g = Grid(n, side)
+        x1, x2 = g.coordinates()
+        L = g.side_length
+        d1, d2 = g.displacement((c1, c2))
+        assert d1.shape == d2.shape == (n, n)
+        assert np.array_equal(d1, (x1 - c1 + 0.5 * L) % L - 0.5 * L)
+        assert np.array_equal(d2, (x2 - c2 + 0.5 * L) % L - 0.5 * L)
+        assert not d1.flags.writeable and not d2.flags.writeable
+        with pytest.raises(ValueError):
+            d1[0, 0] = 1.0
 
 
 class TestTransforms:
