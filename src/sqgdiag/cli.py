@@ -2,9 +2,9 @@
 
 Subcommands: simulate, diagnose, constants, extension-check, isoperimetric,
 energy-audit.  Common flags: --config <path>, --out <dir>, --seed <u64>,
---threads <n>, --format json|csv.  The environment variable SQG_NO_COLOR
-disables ANSI colors in the per-check pass/fail lines.  Exit status is
-nonzero iff an enabled check fails.
+--format json|csv.  The environment variable SQG_NO_COLOR disables ANSI
+colors in the per-check pass/fail lines.  Exit status is nonzero iff an
+enabled check fails.
 """
 
 import argparse
@@ -57,9 +57,6 @@ def _add_common(p):
     p.add_argument("--config", help="run configuration file (key = value)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="thread-count setting recorded with the run (transforms "
-                        "here are single-threaded; accepted for interface stability)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 

@@ -17,6 +17,7 @@ where the vanishing weight suppresses the boundary stencil error.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,20 +62,27 @@ class WeightedRegion:
 
         Sub-stream i is seeded with [seed, 1, i]; chunks are concatenated in
         fixed order, so results are bit-reproducible for a fixed seed
-        regardless of how the chunks are evaluated.
+        regardless of how the chunks are evaluated.  The plan depends only
+        on (radius, sample_count, seed) and is cached; the returned array
+        is shared and read-only.
         """
-        r = self.radius
-        n = self.sample_count
-        chunks = []
-        for i in range((n + MC_CHUNK - 1) // MC_CHUNK):
-            m = min(MC_CHUNK, n - i * MC_CHUNK)
-            rng = np.random.default_rng([self.seed, 1, i])
-            u = rng.random((3, m))
-            rad = r * np.sqrt(u[0])
-            ang = 2.0 * np.pi * u[1]
-            z = r * u[2]
-            chunks.append(np.stack([rad * np.cos(ang), rad * np.sin(ang), z]))
-        return np.concatenate(chunks, axis=1)
+        return _sample_plan(self.radius, self.sample_count, self.seed)
+
+
+@lru_cache(maxsize=2)
+def _sample_plan(r, n, seed):
+    chunks = []
+    for i in range((n + MC_CHUNK - 1) // MC_CHUNK):
+        m = min(MC_CHUNK, n - i * MC_CHUNK)
+        rng = np.random.default_rng([seed, 1, i])
+        u = rng.random((3, m))
+        rad = r * np.sqrt(u[0])
+        ang = 2.0 * np.pi * u[1]
+        z = r * u[2]
+        chunks.append(np.stack([rad * np.cos(ang), rad * np.sin(ang), z]))
+    pts = np.concatenate(chunks, axis=1)
+    pts.flags.writeable = False
+    return pts
 
 
 def interpolate_extension(ext, x1, x2, z, center=None):
@@ -382,7 +390,9 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1, center=No
         cut = cut[None, :, :]
 
     # finite-difference gradient of the cutoff (one-sided in z at the ends)
-    cut_ext = ExtensionField(grid, history[0].z_levels, cut * np.ones_like(history[0].values), eps)
+    cut_ext = ExtensionField(
+        grid, history[0].z_levels, np.broadcast_to(cut, history[0].values.shape), eps
+    )
     grad_eta_sq = extension_gradient_squared(cut_ext)
 
     grad_term = np.empty(len(sel))

@@ -12,6 +12,12 @@ form phi(s) = s^nu K_nu(s) / (2^(nu-1) Gamma(nu)) with nu = (1 - eps)/2
 asymptotics (validation path); the test suite requires them to agree to
 1e-8.
 
+The multiplier is radial, so ``extend`` evaluates the closed form once per
+distinct |k| of the rfft2 half spectrum (6801 values for the 33 024 modes
+of a 256^2 grid) at every z-level, caches that table per (grid, z-levels,
+eps), and scatters it onto the modes of one rfft2 of the trace, level by
+level.
+
 The weighted Neumann trace lim_{z->0} z^eps d_z theta is estimated by
 Richardson extrapolation of one-sided difference quotients on a geometric
 z-ladder.  It reproduces the spectral fractional Laplacian of order 1 - eps
@@ -21,13 +27,15 @@ then be independent of the mode, which is what certifies the trace.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 from scipy.integrate import solve_ivp
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .spectral import Grid, ScalarField, fractional_laplacian, forward_transform
+from .spectral import Grid, ScalarField, fractional_laplacian
 
 
 def extension_profile(s, epsilon):
@@ -132,6 +140,23 @@ class ExtensionField:
         return float(np.max(sup_z) - sup_z[0])
 
 
+@lru_cache(maxsize=8)
+def _profile_table(grid, z_levels, epsilon):
+    """phi(|k| z) on the distinct |k| of the half spectrum, per z-level.
+
+    Returns (table, index): table[j, m] is the profile at z_levels[j] and
+    the m-th distinct magnitude, and table[:, index] is the multiplier on
+    the rfft2 layout.  Both are read-only (they are shared by the cache).
+    """
+    mag = grid.wavenumber_magnitude()[:, : grid.n // 2 + 1]
+    radii, index = np.unique(mag, return_inverse=True)
+    table = extension_profile(np.multiply.outer(z_levels, radii), epsilon)
+    index = index.reshape(mag.shape)
+    table.flags.writeable = False
+    index.flags.writeable = False
+    return table, index
+
+
 def extend(theta, z_levels, epsilon):
     """Per-mode weighted harmonic extension of a mean-zero field.
 
@@ -140,14 +165,16 @@ def extend(theta, z_levels, epsilon):
     """
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must lie in [0, 1)")
+    if not np.all(np.isfinite(theta.values)):
+        raise ValueError("non-finite input")
     z_levels = np.asarray(z_levels, dtype=float)
-    spec = forward_transform(theta)
-    mag = theta.grid.wavenumber_magnitude()
-    values = np.empty((len(z_levels),) + theta.grid.shape)
-    for j, z in enumerate(z_levels):
-        mult = extension_profile(mag * z, epsilon)
-        values[j] = np.fft.ifft2(spec.coefficients * mult).real
-    ext = ExtensionField(theta.grid, z_levels, values, epsilon, theta.time_stamp)
+    grid = theta.grid
+    table, index = _profile_table(grid, tuple(z_levels.tolist()), float(epsilon))
+    spec = rfft2(theta.values)
+    values = np.empty((len(z_levels),) + grid.shape)
+    for j, profile in enumerate(table):
+        values[j] = irfft2(spec * profile[index], s=grid.shape)
+    ext = ExtensionField(grid, z_levels, values, epsilon, theta.time_stamp)
     defect = ext.max_principle_defect()
     if defect > 1e-10 * max(1.0, float(np.max(np.abs(theta.values)))):
         raise AssertionError(f"maximum principle violated by {defect:.3e}")
@@ -266,13 +293,34 @@ def _z_derivative(values, z):
     return out
 
 
+def _gradient_weight(grid):
+    """Parseval weight of |grad f|^2 on the rfft2 half spectrum.
+
+    sum_x |grad f|^2 h^2 = h^2 sum_k weight[k] |rfft2(f)[k]|^2.  Columns
+    1 .. n/2-1 also stand for their conjugate partners (factor 2).  On the
+    Nyquist row of k1 and the Nyquist column of k2 the symbol i k_j is
+    anti-Hermitian, so the real derivative drops those modes; they are
+    zeroed here, as the real part of the full-spectrum derivative does.
+    """
+    n = grid.n
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    k1 = k.copy()
+    k1[n // 2] = 0.0  # Nyquist row
+    k2 = k[: n // 2 + 1].copy()
+    k2[n // 2] = 0.0  # Nyquist column
+    weight = k1[:, None] ** 2 + k2[None, :] ** 2
+    weight[:, 1 : n // 2] *= 2.0
+    return weight / float(n) ** 2
+
+
 def weighted_dirichlet_energy(ext, cutoff=None):
     """Quadrature of int z^eps |grad(cutoff * theta)|^2 dx dz.
 
-    x-derivatives are spectral per level; the z-derivative uses centered
-    differences with one-sided stencils at the ends; the z-integral uses the
-    weighted trapezoid above.  Returns (value, error_estimate), the estimate
-    being the curvature term of the panel-wise linear model.
+    x-derivatives are spectral per level, summed over x by Parseval on the
+    half spectrum; the z-derivative uses centered differences with
+    one-sided stencils at the ends; the z-integral uses the weighted
+    trapezoid above.  Returns (value, error_estimate), the estimate being
+    the curvature term of the panel-wise linear model.
 
     cutoff may be None (full window), a 2-d array broadcast over z, or an
     array shaped like ext.values; it must be supported inside the grid
@@ -289,15 +337,14 @@ def weighted_dirichlet_energy(ext, cutoff=None):
             cut = cut[None, :, :]
         prod = ext.values * cut
 
-    k1, k2 = grid.wavevectors()
+    grad_weight = _gradient_weight(grid)
     g_levels = np.empty(len(z))
     h2 = grid.spacing**2
     dz_prod = _z_derivative(prod, z)
     for j in range(len(z)):
-        spec = np.fft.fft2(prod[j])
-        gx = np.fft.ifft2(1j * k1 * spec).real
-        gy = np.fft.ifft2(1j * k2 * spec).real
-        g_levels[j] = np.sum(gx * gx + gy * gy + dz_prod[j] ** 2) * h2
+        spec = rfft2(prod[j])
+        power = spec.real**2 + spec.imag**2
+        g_levels[j] = (np.sum(grad_weight * power) + np.sum(dz_prod[j] ** 2)) * h2
 
     value = weighted_z_integral(z, g_levels, eps)
     if len(z) > 2:

@@ -344,27 +344,6 @@ def random_band_limited(grid, k_max_index, seed, amplitude=1.0, time_stamp=0.0):
     return ScalarField(grid, values, time_stamp)
 
 
-def extract_window(field, center, new_side, n_out, offset=(0.0, 0.0), time_stamp=None):
-    """Resample a square window around ``center`` onto a fresh grid.
-
-    Returns a ScalarField on Grid(n_out, new_side) whose node (i, j) holds
-    the band-limited interpolant of ``field`` at
-    center + offset + (i*h' - new_side/2, j*h' - new_side/2), h' = new_side/n_out.
-    Used by the zoom/recenter steps of the oscillation iteration.  The
-    window is re-declared periodic on the new grid; values near the window
-    edge carry the periodization mismatch of the parent field, so consumers
-    exclude a declared edge margin.
-    """
-    h_new = new_side / n_out
-    origin = (
-        center[0] + offset[0] - 0.5 * new_side,
-        center[1] + offset[1] - 0.5 * new_side,
-    )
-    vals = evaluate_on_lattice(field, origin, (h_new, h_new), (n_out, n_out))
-    ts = field.time_stamp if time_stamp is None else time_stamp
-    return ScalarField(Grid(n_out, new_side), vals, ts)
-
-
 def shift_field(field, offset):
     """Cyclic translation by a (possibly off-grid) offset: f(x) -> f(x + offset).
 

@@ -7,6 +7,7 @@ from sqgdiag.degiorgi import (
     ISOPERIMETRIC_CONSTANT,
     LOCAL_ENERGY_CONSTANT,
     WeightedRegion,
+    _sample_plan,
     extension_cutoff,
     isoperimetric_check,
     isoperimetric_family,
@@ -69,6 +70,18 @@ class TestWeightedMeasure:
         assert weighted_measure(ext, "le_zero", 0.1, mc) == weighted_measure(
             ext, "le_zero", 0.1, mc
         )
+
+    def test_sample_plan_shared_and_read_only(self):
+        # the plan depends on region, count and seed only: regions that
+        # differ in the weight share one read-only array, equal to a fresh
+        # generation; 70 000 samples span two chunks
+        pts = WeightedRegion(sample_count=70_000, seed=12).sample_points()
+        again = WeightedRegion(weight_exponent=0.1, sample_count=70_000, seed=12)
+        assert again.sample_points() is pts
+        assert not pts.flags.writeable
+        assert np.array_equal(pts, _sample_plan.__wrapped__(1.0, 70_000, 12))
+        wide = WeightedRegion("half_ball_B2star", sample_count=70_000, seed=12)
+        assert np.max(np.hypot(*wide.sample_points()[:2])) > 1.0
 
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sqgdiag.degiorgi import extension_cutoff
 from sqgdiag.extension import (
     ExtensionField,
+    _z_derivative,
     calibrate_dtn_constant,
     dtn_constant_analytic,
     extend,
@@ -29,6 +32,34 @@ from sqgdiag.spectral import (
 @pytest.fixture
 def grid():
     return Grid(64)
+
+
+def extension_oracle(theta, z_levels, eps):
+    """Full-spectrum per-mode extension: one profile evaluation per mode."""
+    spec = np.fft.fft2(theta.values)
+    mag = theta.grid.wavenumber_magnitude()
+    return np.stack(
+        [np.fft.ifft2(spec * extension_profile(mag * z, eps)).real for z in z_levels]
+    )
+
+
+def dirichlet_oracle(ext, cutoff):
+    """weighted_dirichlet_energy's value by full-spectrum derivatives."""
+    grid = ext.base_grid
+    prod = ext.values * cutoff
+    k1, k2 = grid.wavevectors()
+    dz = _z_derivative(prod, ext.z_levels)
+    g = []
+    for j in range(len(ext.z_levels)):
+        spec = np.fft.fft2(prod[j])
+        gx = np.fft.ifft2(1j * k1 * spec).real
+        gy = np.fft.ifft2(1j * k2 * spec).real
+        g.append(np.sum(gx * gx + gy * gy + dz[j] ** 2) * grid.spacing**2)
+    return weighted_z_integral(ext.z_levels, np.array(g), ext.weight_exponent)
+
+
+def rel_error(got, expected):
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
 
 
 class TestProfile:
@@ -96,6 +127,39 @@ class TestExtend:
         theta = random_band_limited(grid, 4, [34, 0, 0])
         with pytest.raises(ValueError):
             extend(theta, np.array([0.1, 0.2]), 0.0)  # must start at 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        side=st.sampled_from([2 * np.pi, 5.0]),
+        eps=st.floats(0.0, 0.5, exclude_max=True),
+        steps=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_mode_oracle(self, n, side, eps, steps, seed):
+        # white noise: every mode, the Nyquist lines included, is excited
+        g = Grid(n, side)
+        theta = ScalarField(g, np.random.default_rng(seed).standard_normal(g.shape))
+        z = np.concatenate([[0.0], np.cumsum(steps)])
+        ext = extend(theta, z, eps)
+        assert rel_error(ext.values, extension_oracle(theta, z, eps)) <= 1e-13
+
+    def test_profile_cache_keyed_on_grid_and_epsilon(self):
+        # same n and z-levels, different side length or weight: each call
+        # must reproduce its own oracle, whatever was cached before it
+        z = np.linspace(0.0, 1.0, 5)
+        cases = [(Grid(32, 2 * np.pi), 0.1), (Grid(32, 5.0), 0.1), (Grid(32, 5.0), 0.3)]
+        oracles = []
+        for g, eps in cases:
+            theta = random_band_limited(g, 6, [38, 0, 0])
+            oracles.append(extension_oracle(theta, z, eps))
+        for a in range(len(oracles)):
+            for b in range(a):
+                assert rel_error(oracles[a], oracles[b]) > 1e-3
+        for _ in range(2):
+            for (g, eps), expected in zip(cases, oracles):
+                theta = random_band_limited(g, 6, [38, 0, 0])
+                assert rel_error(extend(theta, z, eps).values, expected) <= 1e-13
 
 
 class TestNeumannTrace:
@@ -177,6 +241,23 @@ class TestDirichletEnergy:
         v1, _ = weighted_dirichlet_energy(ext1)
         v2, _ = weighted_dirichlet_energy(ext2)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_matches_full_spectrum_formula_on_clipped_field(self, eps):
+        # the clipped field is not band-limited, so its Nyquist lines carry
+        # power; the real part of the full-spectrum derivative drops them
+        g = Grid(64, 4.0 * np.pi)
+        theta = random_band_limited(g, 12, [39, 0, 0])
+        z = np.unique(np.concatenate([trace_ladder(g), np.linspace(0, 2.0, 21)]))
+        ext = extend(theta, z, eps)
+        clipped = ExtensionField(g, z, np.maximum(ext.values - 0.2, 0.0), eps)
+        cut = extension_cutoff(g, z)
+        nyquist = np.fft.fft2(clipped.values[0] * cut[0])[g.n // 2]
+        assert np.max(np.abs(nyquist)) > 1e-4 * np.max(np.abs(clipped.values[0]))
+        value, _ = weighted_dirichlet_energy(clipped, cut)
+        assert value == pytest.approx(dirichlet_oracle(clipped, cut), rel=1e-13)
+        full, _ = weighted_dirichlet_energy(clipped)
+        assert full == pytest.approx(dirichlet_oracle(clipped, 1.0), rel=1e-13)
 
 
 class TestWeightedZIntegral:

@@ -81,6 +81,17 @@ class TestStep:
         )
         assert rel <= 1e-8
 
+    @pytest.mark.parametrize("alpha", [0.9, 0.95, 1.0])
+    def test_etd_rk4_single_mode_exact_decay(self, grid, coords, alpha):
+        # a single mode is a steady state of the advection term, so
+        # ETD-RK4 must reproduce exp(-|k|^alpha t) up to rounding
+        x1, x2 = coords
+        mode = np.sin(2 * x1 + x2)
+        cfg = SolverConfig(alpha=alpha, dt=1e-2, t_end=0.5, integrator="etd_rk4")
+        result = run(ScalarField(grid, mode), cfg)
+        exact = np.exp(-(5.0 ** (alpha / 2.0)) * 0.5) * mode
+        assert np.max(np.abs(result.final.values - exact)) <= 1e-12
+
     def test_zero_stays_zero(self, grid):
         cfg = SolverConfig(alpha=0.9, dt=1e-2, t_end=0.1)
         out = run(ScalarField(grid, np.zeros(grid.shape)), cfg)
