@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: simulate, diagnose, constants, extension-check, isoperimetric,
-energy-audit.  Common flags: --config <path>, --out <dir>, --seed <u64>,
---format json|csv.  The environment variable SQG_NO_COLOR disables ANSI
-colors in the per-check pass/fail lines.  Exit status is nonzero iff an
-enabled check fails.
+energy-audit.  Every subcommand but constants takes --out <dir> and
+--format json|csv; simulate, extension-check and isoperimetric also take
+--seed <u64>, and simulate takes --config <path>.  The environment variable
+SQG_NO_COLOR disables ANSI colors in the per-check pass/fail lines.  Exit
+status is nonzero iff an enabled check fails.
 """
 
 import argparse
@@ -53,10 +54,11 @@ def _emit_report(report, out_dir, fmt):
     return 0 if report.passed else 1
 
 
-def _add_common(p):
-    p.add_argument("--config", help="run configuration file (key = value)")
+def _add_output(p, seed=False):
+    """--out and --format, and --seed where the subcommand reads one."""
+    if seed:
+        p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -65,17 +67,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a configured simulation")
-    _add_common(p)
+    p.add_argument("--config", help="run configuration file (key = value)")
+    _add_output(p, seed=True)
 
     p = sub.add_parser("diagnose", help="run diagnostics over checkpoints")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("checkpoints", nargs="*", help="checkpoint files")
     p.add_argument("--checks", default="l2_monotone,energy_audit",
                    help="comma-separated diagnostic toggles (may be empty)")
     p.add_argument("--side-length", type=float, default=2.0 * np.pi)
 
     p = sub.add_parser("constants", help="emit the constants ledger as JSON")
-    _add_common(p)
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--C", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -83,17 +85,17 @@ def build_parser():
     p.add_argument("--M", type=float, default=1.0)
 
     p = sub.add_parser("extension-check", help="verify the weighted Neumann trace")
-    _add_common(p)
+    _add_output(p, seed=True)
     p.add_argument("--epsilons", default="0.0,0.05,0.1")
     p.add_argument("--n", type=int, default=64)
 
     p = sub.add_parser("isoperimetric", help="weighted isoperimetric family sweep")
-    _add_common(p)
+    _add_output(p, seed=True)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--samples", type=int, default=100_000)
 
     p = sub.add_parser("energy-audit", help="level-set energy audit of checkpoints")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("checkpoints", nargs="+", help="checkpoint files")
     p.add_argument("--side-length", type=float, default=2.0 * np.pi)
     return parser

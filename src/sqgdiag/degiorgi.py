@@ -91,6 +91,15 @@ def interpolate_extension(ext, x1, x2, z, center=None):
     Periodic in the horizontal directions, linear in z with clamping to the
     sampled range.
     """
+    return _trilinear(ext.values, _trilinear_plan(ext, x1, x2, z, center))
+
+
+def _trilinear_plan(ext, x1, x2, z, center=None):
+    """Corner indices and weights of ``interpolate_extension`` at the points.
+
+    The plan depends only on the lattice (grid and z-levels), so one plan
+    serves every field sampled on that lattice at the same points.
+    """
     grid = ext.base_grid
     if center is None:
         c = 0.5 * grid.side_length
@@ -101,29 +110,30 @@ def interpolate_extension(ext, x1, x2, z, center=None):
     p2 = (np.asarray(x2) + center[1]) / h
     i0 = np.floor(p1).astype(int)
     j0 = np.floor(p2).astype(int)
-    f1 = p1 - i0
-    f2 = p2 - j0
-    i0 %= n
-    j0 %= n
-    i1 = (i0 + 1) % n
-    j1 = (j0 + 1) % n
-
+    p1 -= i0  # fractional parts
+    p2 -= j0
     zl = ext.z_levels
     zi = np.clip(np.searchsorted(zl, z, side="right") - 1, 0, len(zl) - 2)
-    z0 = zl[zi]
-    z1v = zl[zi + 1]
-    fz = np.clip((np.asarray(z) - z0) / (z1v - z0), 0.0, 1.0)
+    fz = np.clip((np.asarray(z) - zl[zi]) / (zl[zi + 1] - zl[zi]), 0.0, 1.0)
 
-    lo = ext.values[zi, i0, j0] * (1 - f1) * (1 - f2) + ext.values[
-        zi, i1, j0
-    ] * f1 * (1 - f2) + ext.values[zi, i0, j1] * (1 - f1) * f2 + ext.values[
-        zi, i1, j1
-    ] * f1 * f2
-    hi = ext.values[zi + 1, i0, j0] * (1 - f1) * (1 - f2) + ext.values[
-        zi + 1, i1, j0
-    ] * f1 * (1 - f2) + ext.values[zi + 1, i0, j1] * (1 - f1) * f2 + ext.values[
-        zi + 1, i1, j1
-    ] * f1 * f2
+    # flat offsets of the four horizontal corners on level zi; level zi + 1
+    # is the same offsets into the array shifted by one level
+    row0 = zi * (n * n)
+    row1 = row0 + (i0 + 1) % n * n
+    row0 += i0 % n * n
+    j1 = (j0 + 1) % n
+    j0 %= n
+    return (row0 + j0, row1 + j0, row0 + j1, row1 + j1), p1, p2, fz, n * n
+
+
+def _trilinear(values, plan):
+    """Apply a ``_trilinear_plan`` to an array shaped like ext.values."""
+    (c00, c10, c01, c11), f1, f2, fz, level = plan
+    flat = values.ravel()
+    up = flat[level:]
+    g1, g2 = 1 - f1, 1 - f2
+    lo = flat[c00] * g1 * g2 + flat[c10] * f1 * g2 + flat[c01] * g1 * f2 + flat[c11] * f1 * f2
+    hi = up[c00] * g1 * g2 + up[c10] * f1 * g2 + up[c01] * g1 * f2 + up[c11] * f1 * f2
     return lo * (1 - fz) + hi * fz
 
 
@@ -200,11 +210,11 @@ def isoperimetric_check(ext, eps, constant_C, mc, center=None):
     """
     clamped = clamp_unit(ext)
     grad_sq = extension_gradient_squared(clamped)
-    grad_ext = ExtensionField(ext.base_grid, ext.z_levels, grad_sq, eps)
 
     pts = mc.sample_points()
-    w = interpolate_extension(ext, pts[0], pts[1], pts[2], center=center)
-    g = interpolate_extension(grad_ext, pts[0], pts[1], pts[2], center=center)
+    plan = _trilinear_plan(ext, pts[0], pts[1], pts[2], center)
+    w = _trilinear(ext.values, plan)
+    g = _trilinear(grad_sq, plan)
     zw = pts[2] ** eps
     vol = mc.volume()
     n = w.size

@@ -35,7 +35,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .spectral import Grid, ScalarField, fractional_laplacian
+from .spectral import Grid, ScalarField, fractional_laplacian, half_spectrum
 
 
 def extension_profile(s, epsilon):
@@ -144,17 +144,13 @@ class ExtensionField:
 def _profile_table(grid, z_levels, epsilon):
     """phi(|k| z) on the distinct |k| of the half spectrum, per z-level.
 
-    Returns (table, index): table[j, m] is the profile at z_levels[j] and
-    the m-th distinct magnitude, and table[:, index] is the multiplier on
-    the rfft2 layout.  Both are read-only (they are shared by the cache).
+    table[j, m] is the profile at z_levels[j] and the m-th distinct radius
+    of ``half_spectrum(grid)``, so table[:, op.radius_index] is the
+    multiplier on the rfft2 layout.  Read-only (it is shared by the cache).
     """
-    mag = grid.wavenumber_magnitude()[:, : grid.n // 2 + 1]
-    radii, index = np.unique(mag, return_inverse=True)
-    table = extension_profile(np.multiply.outer(z_levels, radii), epsilon)
-    index = index.reshape(mag.shape)
+    table = extension_profile(np.multiply.outer(z_levels, half_spectrum(grid).radii), epsilon)
     table.flags.writeable = False
-    index.flags.writeable = False
-    return table, index
+    return table
 
 
 def extend(theta, z_levels, epsilon):
@@ -169,7 +165,8 @@ def extend(theta, z_levels, epsilon):
         raise ValueError("non-finite input")
     z_levels = np.asarray(z_levels, dtype=float)
     grid = theta.grid
-    table, index = _profile_table(grid, tuple(z_levels.tolist()), float(epsilon))
+    table = _profile_table(grid, tuple(z_levels.tolist()), float(epsilon))
+    index = half_spectrum(grid).radius_index
     spec = rfft2(theta.values)
     values = np.empty((len(z_levels),) + grid.shape)
     for j, profile in enumerate(table):
@@ -287,7 +284,8 @@ def weighted_z_integral(z, g, epsilon):
 def _z_derivative(values, z):
     """d/dz by centered differences, one-sided at the ends."""
     out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (z[2:] - z[:-2])[:, None, None]
+    np.subtract(values[2:], values[:-2], out=out[1:-1])  # no stack-sized temporaries
+    out[1:-1] /= (z[2:] - z[:-2])[:, None, None]
     out[0] = (values[1] - values[0]) / (z[1] - z[0])
     out[-1] = (values[-1] - values[-2]) / (z[-1] - z[-2])
     return out
@@ -303,10 +301,10 @@ def _gradient_weight(grid):
     zeroed here, as the real part of the full-spectrum derivative does.
     """
     n = grid.n
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    k1 = k.copy()
+    op = half_spectrum(grid)
+    k1 = op.k1.copy()
     k1[n // 2] = 0.0  # Nyquist row
-    k2 = k[: n // 2 + 1].copy()
+    k2 = op.k2.copy()
     k2[n // 2] = 0.0  # Nyquist column
     weight = k1[:, None] ** 2 + k2[None, :] ** 2
     weight[:, 1 : n // 2] *= 2.0

@@ -7,6 +7,12 @@ exponential integrator (ETD-RK2 or ETD-RK4, phi-functions evaluated by the
 Kassam-Trefethen contour quadrature).  The mean of theta is conserved
 exactly; initial data must be mean-zero.
 
+The integrator works on the rfft2 half spectrum through the grid's shared
+``spectral.half_spectrum`` operator (symbols, dealias mask, distinct radii).
+The dissipation symbol is radial, so the phi-function tables of a step size
+are evaluated once per distinct |k| (6801 radii for the 33 024 modes of a
+256^2 grid) and scattered onto the modes.
+
 Energy bookkeeping follows the level-set truncations theta_lambda =
 (theta - lambda)_+.  The audit checks, for every level and every ordered
 snapshot pair,
@@ -33,6 +39,7 @@ from .spectral import (
     Grid,
     ScalarField,
     fractional_laplacian,
+    half_spectrum,
     l2_norm,
     riesz_velocity,
     sobolev_norm,
@@ -129,80 +136,87 @@ class SqgSolver:
     def __init__(self, grid, config):
         self.grid = grid
         self.config = config
-        k1_line = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-        k2_line = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
-        k1, k2 = np.meshgrid(k1_line, k2_line, indexing="ij")
-        self.k1 = k1
-        self.k2 = k2
-        mag = np.sqrt(k1 * k1 + k2 * k2)
-        symbol = np.zeros_like(mag)
-        nz = mag > 0
-        symbol[nz] = mag[nz] ** config.alpha
-        self.linear = -symbol if config.dissipation else np.zeros_like(symbol)
-        if config.dealias:
-            cutoff = (2.0 / 3.0) * np.pi * grid.n / grid.side_length
-            self.mask = (np.abs(k1) <= cutoff) & (np.abs(k2) <= cutoff)
-        else:
-            self.mask = None
-        inv_mag = np.zeros_like(mag)
-        inv_mag[nz] = 1.0 / mag[nz]
-        self.sym_u = -1j * k2 * inv_mag  # -R2
-        self.sym_v = 1j * k1 * inv_mag  # +R1
+        self.op = half_spectrum(grid)
+        # -|k|^alpha on the distinct radii (radii[0] = 0); the tables built
+        # from it are scattered onto the modes by op.radius_index
+        radii = self.op.radii
+        self.rate = -(radii**config.alpha) if config.dissipation else np.zeros_like(radii)
+        self.mask = self.op.dealias if config.dealias else None
         self._coeff_cache = {}
-
-    def to_spectral(self, values):
-        return rfft2(values)
-
-    def to_physical(self, that):
-        return irfft2(that, s=self.grid.shape)
 
     def _coefficients(self, dt):
         key = float(dt)
         if key not in self._coeff_cache:
-            z = self.linear.ravel() * dt
-            c = _phi_coefficients(z, dt)
-            coeffs = {k: v.reshape(self.linear.shape) for k, v in c.items()}
-            coeffs["exp_full"] = np.exp(self.linear * dt)
-            coeffs["exp_half"] = np.exp(self.linear * dt / 2.0)
-            self._coeff_cache[key] = coeffs
+            z = self.rate * dt
+            tables = _phi_coefficients(z, dt)
+            tables["exp_full"] = np.exp(z)
+            tables["exp_half"] = np.exp(self.rate * dt / 2.0)
+            index = self.op.radius_index
+            self._coeff_cache[key] = {k: v[index] for k, v in tables.items()}
         return self._coeff_cache[key]
 
-    def nonlinear_spectral(self, that):
-        """Spectral tendency of the advection term: -fft(w . grad theta)."""
+    def nonlinear_spectral(self, that, record_speed=False):
+        """Spectral tendency of the advection term: -fft(w . grad theta).
+
+        With ``record_speed`` the maximum speed max|w| is kept for
+        ``cfl_bound``.
+        """
+        op = self.op
         shape = self.grid.shape
-        u = irfft2(self.sym_u * that, s=shape)
-        v = irfft2(self.sym_v * that, s=shape)
-        tx = irfft2(1j * self.k1 * that, s=shape)
-        ty = irfft2(1j * self.k2 * that, s=shape)
-        adv = rfft2(u * tx + v * ty)
+        u = irfft2(op.riesz_u * that, s=shape)
+        v = irfft2(op.riesz_v * that, s=shape)
+        tx = irfft2(op.dx1 * that, s=shape)
+        ty = irfft2(op.dx2 * that, s=shape)
+        if record_speed:
+            speed_sq = u * u
+            speed_sq += v * v
+            self._last_max_speed = float(np.sqrt(speed_sq.max()))
+        tx *= u
+        ty *= v
+        tx += ty
+        adv = rfft2(tx)
         if self.mask is not None:
-            adv = adv * self.mask
+            adv *= self.mask
         adv[0, 0] = 0.0  # exact mean conservation
-        self._last_max_speed = float(np.sqrt(u * u + v * v).max())
-        return -adv
+        return np.negative(adv, out=adv)
 
     def step_spectral(self, that, dt):
+        """One ETD step; the last stage records the speed for ``cfl_bound``."""
         c = self._coefficients(dt)
         n0 = self.nonlinear_spectral(that)
         if self.config.integrator == "etd_rk2":
             a = c["exp_full"] * that + c["phi1"] * n0
-            na = self.nonlinear_spectral(a)
+            na = self.nonlinear_spectral(a, record_speed=True)
             return a + c["phi2"] * (na - n0)
-        a = c["exp_half"] * that + c["phi1_half"] * n0
+        # in place, in the operation order of a = E/2 that + P/2 n0,
+        # b = E/2 that + P/2 na, cc = E/2 a + P/2 (2 nb - n0) and
+        # E that + f1 n0 + 2 f2 (na + nb) + f3 nc
+        e_that = c["exp_half"] * that
+        a = c["phi1_half"] * n0
+        a += e_that
         na = self.nonlinear_spectral(a)
-        b = c["exp_half"] * that + c["phi1_half"] * na
+        b = c["phi1_half"] * na
+        b += e_that
         nb = self.nonlinear_spectral(b)
-        cc = c["exp_half"] * a + c["phi1_half"] * (2.0 * nb - n0)
-        nc = self.nonlinear_spectral(cc)
-        return (
-            c["exp_full"] * that
-            + c["f1"] * n0
-            + c["f2"] * 2.0 * (na + nb)
-            + c["f3"] * nc
-        )
+        cc = 2.0 * nb
+        cc -= n0
+        cc *= c["phi1_half"]
+        a *= c["exp_half"]
+        cc += a
+        nc = self.nonlinear_spectral(cc, record_speed=True)
+        out = c["exp_full"] * that
+        n0 *= c["f1"]
+        out += n0
+        na += nb
+        na *= 2.0
+        na *= c["f2"]
+        out += na
+        nc *= c["f3"]
+        out += nc
+        return out
 
     def cfl_bound(self):
-        """CFL bound from the most recent nonlinear evaluation."""
+        """CFL bound from the last stage of the most recent step."""
         speed = getattr(self, "_last_max_speed", 0.0)
         if speed == 0.0:
             return np.inf
@@ -220,20 +234,20 @@ def nonlinear_term(theta, use_dealias=True):
     _require_mean_zero(theta)
     cfg = SolverConfig(alpha=1.0, dt=1.0, t_end=1.0, dealias=use_dealias)
     solver = SqgSolver(theta.grid, cfg)
-    tendency = solver.nonlinear_spectral(solver.to_spectral(theta.values))
-    return ScalarField(theta.grid, -solver.to_physical(tendency), theta.time_stamp)
+    tendency = solver.nonlinear_spectral(rfft2(theta.values))
+    return ScalarField(theta.grid, -irfft2(tendency, s=theta.grid.shape), theta.time_stamp)
 
 
 def step(state, config):
     """Advance one configured time step; raises on blow-up or CFL violation."""
     _require_mean_zero(state)
     solver = SqgSolver(state.grid, config)
-    new = solver.step_spectral(solver.to_spectral(state.values), config.dt)
+    new = solver.step_spectral(rfft2(state.values), config.dt)
     if config.dt > solver.cfl_bound():
         raise StabilityError(
             f"dt={config.dt:.3e} exceeds CFL bound {solver.cfl_bound():.3e}"
         )
-    values = solver.to_physical(new)
+    values = irfft2(new, s=state.grid.shape)
     before = max(float(np.max(np.abs(state.values))), 1e-300)
     after = float(np.max(np.abs(values)))
     if after > BLOWUP_FACTOR * max(before, 1e-12):
@@ -308,7 +322,7 @@ def run(theta0, config, snapshot_times=None):
             times.append(t)
             l2s.append(float(np.sqrt(np.sum(vals**2) * h2)))
             linfs.append(cur_max)
-        history.append(ScalarField(grid, irfft2(that, s=grid.shape), t))
+        history.append(ScalarField(grid, vals, t))
 
     final = history[-1] if history else ScalarField(grid, irfft2(that, s=grid.shape), t)
     return SimulationResult(

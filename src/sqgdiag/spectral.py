@@ -2,10 +2,12 @@
 
 Everything downstream (solver, extension, diagnostics) is built on a square
 doubly-periodic grid.  This module owns the grid bookkeeping, the forward and
-inverse transforms, Fourier-multiplier operators (fractional Laplacian, Riesz
-transforms), homogeneous Sobolev norms, 2/3-rule dealiasing, and band-limited
-evaluation of a gridded field at arbitrary uniform lattices (chirp-z based),
-which the oscillation diagnostics use for zooming and recentering.
+inverse transforms, the cached per-grid half-spectrum operator that the
+solver and the extension share (``half_spectrum``), Fourier-multiplier
+operators (fractional Laplacian, Riesz transforms), homogeneous Sobolev
+norms, 2/3-rule dealiasing, and band-limited evaluation of a gridded field
+at arbitrary uniform lattices (chirp-z based), which the oscillation
+diagnostics use for zooming and recentering.
 
 The underlying model domain is the plane; the torus is a computational
 substitute.  Plane-specific integrals elsewhere in the package are truncated
@@ -23,6 +25,7 @@ Conventions
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import czt
@@ -80,6 +83,49 @@ class Grid:
         d1 = self.offsets(center[0])[:, None]
         d2 = self.offsets(center[1])[None, :]
         return np.broadcast_to(d1, self.shape), np.broadcast_to(d2, self.shape)
+
+
+class HalfSpectrum:
+    """Read-only Fourier symbols of one Grid on the rfft2 half spectrum.
+
+    Layout of ``scipy.fft.rfft2`` of an (n, n) real array: rows carry the
+    line ``k1`` (FFT order), columns the line ``k2`` = 0 .. n/2.  Holds
+    ``magnitude`` |k|; its distinct values ``radii`` (ascending, radii[0] =
+    0) with ``radii[radius_index] == magnitude``, so radial multipliers are
+    evaluated once per radius and scattered; the 2/3-rule mask ``dealias``;
+    the velocity symbols ``riesz_u`` = -i k2/|k| and ``riesz_v`` = i k1/|k|
+    (zero at k = 0); and the derivative symbols ``dx1`` = i k1 and ``dx2``
+    = i k2 as a column and a row.  Use ``half_spectrum(grid)``.
+    """
+
+    def __init__(self, grid):
+        k1 = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+        k2 = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
+        K1, K2 = np.meshgrid(k1, k2, indexing="ij")
+        mag = np.sqrt(K1 * K1 + K2 * K2)
+        radii, index = np.unique(mag, return_inverse=True)
+        inv_mag = np.zeros_like(mag)
+        nz = mag > 0
+        inv_mag[nz] = 1.0 / mag[nz]
+        cutoff = (2.0 / 3.0) * np.pi * grid.n / grid.side_length
+        self.k1 = k1
+        self.k2 = k2
+        self.magnitude = mag
+        self.radii = radii
+        self.radius_index = index.reshape(mag.shape)
+        self.dealias = (np.abs(K1) <= cutoff) & (np.abs(K2) <= cutoff)
+        self.riesz_u = -1j * K2 * inv_mag
+        self.riesz_v = 1j * K1 * inv_mag
+        self.dx1 = 1j * k1[:, None]
+        self.dx2 = 1j * k2[None, :]
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+@lru_cache(maxsize=8)
+def half_spectrum(grid):
+    """The cached HalfSpectrum of ``grid`` (one shared instance per Grid)."""
+    return HalfSpectrum(grid)
 
 
 @dataclass

@@ -8,7 +8,12 @@ from sqgdiag.degiorgi import (
     LOCAL_ENERGY_CONSTANT,
     WeightedRegion,
     _sample_plan,
+    _trilinear,
+    _trilinear_plan,
+    clamp_unit,
     extension_cutoff,
+    extension_gradient_squared,
+    interpolate_extension,
     isoperimetric_check,
     isoperimetric_family,
     isoperimetric_ratio,
@@ -138,6 +143,63 @@ class TestIsoperimetric:
         mc = WeightedRegion(sample_count=200_000, seed=23)
         ratio = isoperimetric_ratio(linear_reference_profile(0.0), 0.0, mc)
         assert ratio < ISOPERIMETRIC_CONSTANT
+
+
+def trilinear_oracle(values, grid, zl, x1, x2, z, center):
+    """Trilinear sampling with three-array indexing, one field at a time."""
+    h, n = grid.spacing, grid.n
+    p1 = (x1 + center[0]) / h
+    p2 = (x2 + center[1]) / h
+    i0 = np.floor(p1).astype(int)
+    j0 = np.floor(p2).astype(int)
+    f1, f2 = p1 - i0, p2 - j0
+    i0 %= n
+    j0 %= n
+    i1, j1 = (i0 + 1) % n, (j0 + 1) % n
+    zi = np.clip(np.searchsorted(zl, z, side="right") - 1, 0, len(zl) - 2)
+    fz = np.clip((z - zl[zi]) / (zl[zi + 1] - zl[zi]), 0.0, 1.0)
+
+    def level(k):
+        return (
+            values[k, i0, j0] * (1 - f1) * (1 - f2)
+            + values[k, i1, j0] * f1 * (1 - f2)
+            + values[k, i0, j1] * (1 - f1) * f2
+            + values[k, i1, j1] * f1 * f2
+        )
+
+    return level(zi) * (1 - fz) + level(zi + 1) * fz
+
+
+class TestSharedTrilinearPlan:
+    @pytest.mark.parametrize("center", [None, (0.3, 1.7)])
+    def test_two_fields_on_one_plan_match_separate_calls(self, center):
+        # points wrap the torus and leave the sampled z-range on both sides
+        ext = isoperimetric_family(1, 0.1, 2025)[0]
+        grad = extension_gradient_squared(clamp_unit(ext))
+        grad_ext = ExtensionField(ext.base_grid, ext.z_levels, grad, 0.1)
+        rng = np.random.default_rng(41)
+        x1, x2 = rng.uniform(-5.0, 5.0, (2, 5000))
+        z = rng.uniform(-0.1, 1.3, 5000)
+        plan = _trilinear_plan(ext, x1, x2, z, center)
+        c = center or (2.0, 2.0)
+        for values, field in ((ext.values, ext), (grad, grad_ext)):
+            got = _trilinear(values, plan)
+            assert np.array_equal(got, interpolate_extension(field, x1, x2, z, center))
+            oracle = trilinear_oracle(values, ext.base_grid, ext.z_levels, x1, x2, z, c)
+            assert np.array_equal(got, oracle)
+
+    def test_isoperimetric_measures_unchanged(self):
+        ext = isoperimetric_family(1, 0.0, 2025)[0]
+        mc = WeightedRegion(sample_count=50_000, seed=43)
+        res = isoperimetric_check(ext, 0.0, ISOPERIMETRIC_CONSTANT, mc)
+        pts = mc.sample_points()
+        grad = extension_gradient_squared(clamp_unit(ext))
+        grad_ext = ExtensionField(ext.base_grid, ext.z_levels, grad, 0.0)
+        w = interpolate_extension(ext, *pts)
+        g = interpolate_extension(grad_ext, *pts)
+        zw = pts[2] ** 0.0
+        assert res.measures["low"][0] == mc.volume() * float(np.where(w <= 0.0, zw, 0.0).mean())
+        assert res.measures["gradient"][0] == mc.volume() * float((g * zw).mean())
 
 
 def single_mode_extension_run(n=128, alpha=0.95, t_end=0.5, n_snap=11):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import irfft2, rfft2
 
 from sqgdiag.degiorgi import extension_cutoff
 from sqgdiag.extension import (
     ExtensionField,
+    _profile_table,
     _z_derivative,
     calibrate_dtn_constant,
     dtn_constant_analytic,
@@ -24,6 +26,7 @@ from sqgdiag.spectral import (
     ScalarField,
     fractional_laplacian,
     l2_norm,
+    half_spectrum,
     random_band_limited,
     sobolev_norm,
 )
@@ -160,6 +163,21 @@ class TestExtend:
             for (g, eps), expected in zip(cases, oracles):
                 theta = random_band_limited(g, 6, [38, 0, 0])
                 assert rel_error(extend(theta, z, eps).values, expected) <= 1e-13
+
+
+    def test_profile_scattered_by_the_operator_radius_index(self):
+        # one profile value per distinct radius of the shared operator,
+        # scattered onto the modes by its radius index
+        g = Grid(32, 5.0)
+        z = np.linspace(0.0, 1.0, 4)
+        op = half_spectrum(g)
+        table = _profile_table(g, tuple(z), 0.1)
+        assert table.shape == (len(z), len(op.radii))
+        assert not table.flags.writeable
+        theta = random_band_limited(g, 8, [39, 0, 0])
+        spec = rfft2(theta.values)
+        expected = [irfft2(spec * row[op.radius_index], s=g.shape) for row in table]
+        assert np.array_equal(extend(theta, z, 0.1).values, np.stack(expected))
 
 
 class TestNeumannTrace:

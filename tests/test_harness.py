@@ -252,6 +252,22 @@ class TestCli:
         assert code == 0
         assert "PASS isoperimetric_eps_0.0" in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "--config", "x.cfg", "a.sqgd"],
+            ["energy-audit", "--seed", "3", "a.sqgd"],
+            ["constants", "--L", "0.5", "--C", "1", "--alpha", "0.95", "--eta", "0.3",
+             "--format", "csv"],
+            ["isoperimetric", "--config", "x.cfg"],
+        ],
+    )
+    def test_flags_a_subcommand_ignores_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_extension_check_subcommand(self, capsys, monkeypatch):
         monkeypatch.setenv("SQG_NO_COLOR", "1")
         code = main(["extension-check", "--epsilons", "0.0,0.1", "--format", "csv"])

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.fft import irfft2, rfft2
 
 import sqgdiag.solver as solver_mod
 from sqgdiag.solver import (
     CheckpointError,
     EnergyLedger,
     SolverConfig,
+    SqgSolver,
     StabilityError,
+    _phi_coefficients,
     audit_energy,
     cfl_time_step,
     check_l2_monotone,
@@ -20,7 +24,14 @@ from sqgdiag.solver import (
     truncate_level,
     write_checkpoint,
 )
-from sqgdiag.spectral import Grid, ScalarField, l2_norm, random_band_limited, sobolev_norm
+from sqgdiag.spectral import (
+    Grid,
+    ScalarField,
+    half_spectrum,
+    l2_norm,
+    random_band_limited,
+    sobolev_norm,
+)
 
 
 @pytest.fixture
@@ -161,6 +172,108 @@ class TestStep:
         assert out.time_stamp == pytest.approx(1e-3)
         x1, _ = grid.coordinates()
         assert np.allclose(out.values, np.exp(-1e-3) * np.sin(x1), atol=1e-10)
+
+
+class TestOperatorPath:
+    """The solver on the shared half-spectrum operator against per-mode oracles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        side=st.sampled_from([2 * np.pi, 5.0]),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        dt=st.floats(1e-4, 0.5),
+    )
+    def test_phi_tables_match_per_mode_contour(self, n, side, alpha, dt):
+        # the tables are built on the distinct radii and scattered; the
+        # oracle runs the contour quadrature on every mode
+        g = Grid(n, side)
+        mag = half_spectrum(g).magnitude
+        linear = np.zeros_like(mag)
+        linear[mag > 0] = -(mag[mag > 0] ** alpha)
+        expected = {
+            k: v.reshape(mag.shape)
+            for k, v in _phi_coefficients(linear.ravel() * dt, dt).items()
+        }
+        expected["exp_full"] = np.exp(linear * dt)
+        expected["exp_half"] = np.exp(linear * dt / 2.0)
+        got = SqgSolver(g, SolverConfig(alpha=alpha, dt=dt, t_end=1.0))._coefficients(dt)
+        assert sorted(got) == sorted(expected)
+        for name, table in got.items():
+            assert table.dtype == np.float64 and table.shape == mag.shape
+            rel = np.abs(table - expected[name]) / np.abs(expected[name])
+            assert np.max(rel) <= 1e-14, name
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_nonlinear_matches_unfused_formula(self, dealias):
+        # four separate inverse transforms with symbols built from the
+        # wavevector meshgrid, as the tendency was first written
+        g = Grid(64, 5.0)
+        that = rfft2(random_band_limited(g, 20, [26, 0, 0]).values)
+        k1 = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.spacing)
+        k2 = 2.0 * np.pi * np.fft.rfftfreq(g.n, d=g.spacing)
+        K1, K2 = np.meshgrid(k1, k2, indexing="ij")
+        mag = np.sqrt(K1 * K1 + K2 * K2)
+        inv = np.zeros_like(mag)
+        inv[mag > 0] = 1.0 / mag[mag > 0]
+        u = irfft2(-1j * K2 * inv * that, s=g.shape)
+        v = irfft2(1j * K1 * inv * that, s=g.shape)
+        tx = irfft2(1j * K1 * that, s=g.shape)
+        ty = irfft2(1j * K2 * that, s=g.shape)
+        adv = rfft2(u * tx + v * ty)
+        if dealias:
+            cutoff = (2.0 / 3.0) * np.pi * g.n / g.side_length
+            adv = adv * ((np.abs(K1) <= cutoff) & (np.abs(K2) <= cutoff))
+        adv[0, 0] = 0.0
+        cfg = SolverConfig(alpha=0.9, dt=1e-3, t_end=1.0, dealias=dealias)
+        got = SqgSolver(g, cfg).nonlinear_spectral(that)
+        assert np.max(np.abs(got + adv)) <= 1e-14 * np.max(np.abs(adv))
+
+    @pytest.mark.parametrize("integrator", ["etd_rk2", "etd_rk4"])
+    def test_cfl_bound_reads_last_stage(self, grid, integrator, monkeypatch):
+        cfg = SolverConfig(alpha=0.95, dt=2e-2, t_end=1.0, integrator=integrator)
+        solver = SqgSolver(grid, cfg)
+        stages = []
+        original = SqgSolver.nonlinear_spectral
+
+        def recording(self, that, **kwargs):
+            stages.append(that.copy())
+            return original(self, that, **kwargs)
+
+        monkeypatch.setattr(SqgSolver, "nonlinear_spectral", recording)
+        that = rfft2(random_band_limited(grid, 8, [27, 0, 0], amplitude=2.0).values)
+        solver.step_spectral(that, cfg.dt)
+        assert len(stages) == (2 if integrator == "etd_rk2" else 4)
+        op = half_spectrum(grid)
+
+        def cfl(stage):
+            u = irfft2(op.riesz_u * stage, s=grid.shape)
+            v = irfft2(op.riesz_v * stage, s=grid.shape)
+            return 0.5 * grid.spacing / np.max(np.sqrt(u * u + v * v))
+
+        assert solver.cfl_bound() == pytest.approx(cfl(stages[-1]), rel=1e-14)
+        assert abs(cfl(stages[0]) / cfl(stages[-1]) - 1.0) > 1e-6
+
+    def test_solver_uses_the_shared_operator(self, grid):
+        solver = SqgSolver(grid, SolverConfig(alpha=0.9, dt=1e-3, t_end=1.0))
+        assert solver.op is half_spectrum(grid)
+        assert solver.mask is half_spectrum(grid).dealias
+        assert solver.rate.shape == half_spectrum(grid).radii.shape
+
+    def test_snapshots_are_the_last_substep_fields(self, grid):
+        # each snapshot is the inverse transform of the state after the
+        # last sub-step of its gap, and its L-infinity norm is the one
+        # recorded for that step
+        theta = random_band_limited(grid, 6, [28, 0, 0])
+        cfg = SolverConfig(alpha=0.95, dt=1e-2, t_end=0.1)
+        out = run(theta, cfg, snapshot_times=[0.0, 0.05, 0.1])
+        solver = SqgSolver(grid, cfg)
+        that = rfft2(theta.values)
+        for _ in range(5):
+            that = solver.step_spectral(that, 0.05 / 5)
+        assert np.array_equal(out.history[1].values, irfft2(that, s=grid.shape))
+        assert out.linf_norms[5] == np.max(np.abs(out.history[1].values))
+        assert out.final is out.history[-1]
 
 
 class TestTruncateLevel:

@@ -15,6 +15,7 @@ from sqgdiag.spectral import (
     forward_transform,
     fractional_laplacian,
     gradient,
+    half_spectrum,
     inverse_transform,
     l2_norm,
     random_band_limited,
@@ -233,6 +234,50 @@ class TestSobolevNorm:
 
     def test_zero_field(self, grid):
         assert sobolev_norm(ScalarField(grid, np.zeros(grid.shape)), 0.7) == 0.0
+
+
+class TestHalfSpectrum:
+    def test_one_cached_operator_per_grid(self):
+        op = half_spectrum(Grid(32))
+        assert half_spectrum(Grid(32)) is op
+        assert half_spectrum(Grid(32, 5.0)) is not op
+        assert half_spectrum(Grid(64)) is not op
+
+    def test_arrays_are_read_only(self):
+        op = half_spectrum(Grid(16))
+        arrays = vars(op)
+        assert set(arrays) == {
+            "k1", "k2", "magnitude", "radii", "radius_index", "dealias",
+            "riesz_u", "riesz_v", "dx1", "dx2",
+        }
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            op.magnitude[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n,side", [(16, 2 * np.pi), (32, 5.0), (64, 4 * np.pi)])
+    def test_symbols_match_full_spectrum(self, n, side):
+        g = Grid(n, side)
+        op = half_spectrum(g)
+        half = slice(0, n // 2 + 1)
+        k1, k2 = g.wavevectors()
+        mag = g.wavenumber_magnitude()[:, half]
+        assert op.magnitude.shape == (n, n // 2 + 1)
+        assert np.array_equal(op.magnitude, mag)
+        assert np.array_equal(op.radii[op.radius_index], op.magnitude)
+        assert op.radii[0] == 0.0 and np.all(np.diff(op.radii) > 0)
+        assert np.array_equal(op.k1, k1[:, 0])
+        # the rfft2 layout carries the Nyquist column at +n/2
+        assert np.array_equal(op.k2[:-1], k2[0, : n // 2])
+        assert op.k2[-1] == -k2[0, n // 2] > 0
+        assert np.array_equal(op.dealias, dealias_mask(g)[:, half])
+        K1, K2 = np.meshgrid(op.k1, op.k2, indexing="ij")
+        nz = mag > 0
+        assert np.allclose(op.riesz_u[nz], -1j * K2[nz] / mag[nz], rtol=1e-15, atol=0)
+        assert np.allclose(op.riesz_v[nz], 1j * K1[nz] / mag[nz], rtol=1e-15, atol=0)
+        assert op.riesz_u[0, 0] == 0.0 and op.riesz_v[0, 0] == 0.0
+        assert np.array_equal(np.broadcast_to(op.dx1, mag.shape), 1j * K1)
+        assert np.array_equal(np.broadcast_to(op.dx2, mag.shape), 1j * K2)
 
 
 class TestDealias:
