@@ -9,12 +9,8 @@ iteration, and the explicit constant-selection system.
 from .spectral import (
     Grid,
     ScalarField,
-    SpectralField,
     VelocityField,
-    dealias,
-    forward_transform,
     fractional_laplacian,
-    inverse_transform,
     l2_norm,
     random_band_limited,
     riesz_velocity,
@@ -30,7 +26,6 @@ from .solver import (
     nonlinear_term,
     read_checkpoint,
     run,
-    step,
     truncate_level,
     write_checkpoint,
 )

@@ -294,21 +294,12 @@ def _z_derivative(values, z):
 def _gradient_weight(grid):
     """Parseval weight of |grad f|^2 on the rfft2 half spectrum.
 
-    sum_x |grad f|^2 h^2 = h^2 sum_k weight[k] |rfft2(f)[k]|^2.  Columns
-    1 .. n/2-1 also stand for their conjugate partners (factor 2).  On the
-    Nyquist row of k1 and the Nyquist column of k2 the symbol i k_j is
-    anti-Hermitian, so the real derivative drops those modes; they are
-    zeroed here, as the real part of the full-spectrum derivative does.
+    sum_x |grad f|^2 h^2 = h^2 sum_k weight[k] |rfft2(f)[k]|^2, from the
+    operator's derivative symbols (zero on their Nyquist lines, as for the
+    real part of the full-spectrum derivative) and its Parseval weight.
     """
-    n = grid.n
     op = half_spectrum(grid)
-    k1 = op.k1.copy()
-    k1[n // 2] = 0.0  # Nyquist row
-    k2 = op.k2.copy()
-    k2[n // 2] = 0.0  # Nyquist column
-    weight = k1[:, None] ** 2 + k2[None, :] ** 2
-    weight[:, 1 : n // 2] *= 2.0
-    return weight / float(n) ** 2
+    return (np.abs(op.dx1) ** 2 + np.abs(op.dx2) ** 2) * op.parseval / float(grid.n) ** 2
 
 
 def weighted_dirichlet_energy(ext, cutoff=None):

@@ -108,8 +108,6 @@ def parse_config(text):
             raise ValueError(f"config line {ln}: unknown key {key!r}")
         if key == "diagnostics":
             kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key in ("n", "seed", "ic_k_max"):
-            kwargs[key] = int(value)
         elif key in ("dealias",):
             if value not in ("true", "false"):
                 raise ValueError(f"config line {ln}: boolean must be true/false")
@@ -117,7 +115,11 @@ def parse_config(text):
         elif key in ("initial_condition", "ic_file", "output_dir", "integrator"):
             kwargs[key] = value
         else:
-            kwargs[key] = float(value)
+            convert = int if key in ("n", "seed", "ic_k_max") else float
+            try:
+                kwargs[key] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"config line {ln}: {key}: {exc}") from None
     return RunConfig(**kwargs)
 
 
@@ -268,7 +270,9 @@ def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
         levels = np.linspace(theta0.values.min(), theta0.values.max(), 16)
         audit = None
         if "energy_audit" in toggles or "l2_monotone" in toggles or "linf_decay" in toggles:
-            audit = audit_energy(history, levels, alpha)
+            # l2_monotone and linf_decay read only the ledger's norms
+            audit_levels = levels if "energy_audit" in toggles else []
+            audit = audit_energy(history, audit_levels, alpha)
         for name in toggles:
             if name == "energy_audit":
                 sections.append(

@@ -26,7 +26,9 @@ int theta_l * Lambda^alpha theta dx, which dominates the Hdot^(alpha/2)
 seminorm squared of theta_l but not the Hdot^alpha one (the order-alpha
 variant is violated already by theta = sin(2 x1) at level 0).  The ledger
 records the pairing as well, since for smooth solutions the L^2 balance
-closes exactly against it.
+closes exactly against it.  The seminorm and the pairing are Parseval sums
+on the half spectrum (one rfft2 per snapshot and one per level); the energy
+is the physical sum.
 """
 
 import struct
@@ -38,11 +40,10 @@ from scipy.fft import irfft2, rfft2
 from .spectral import (
     Grid,
     ScalarField,
-    fractional_laplacian,
     half_spectrum,
-    l2_norm,
+    parseval_sum,
+    require_mean_zero,
     riesz_velocity,
-    sobolev_norm,
 )
 
 CFL_SAFETY = 0.5
@@ -223,39 +224,12 @@ class SqgSolver:
         return CFL_SAFETY * self.grid.spacing / speed
 
 
-def _require_mean_zero(theta):
-    scale = max(float(np.max(np.abs(theta.values))), 1.0)
-    if abs(theta.mean()) > 1e-10 * scale:
-        raise ValueError("solver requires mean-zero initial data")
-
-
-def nonlinear_term(theta, use_dealias=True):
+def nonlinear_term(theta):
     """Advection term w . grad theta, computed pseudo-spectrally."""
-    _require_mean_zero(theta)
-    cfg = SolverConfig(alpha=1.0, dt=1.0, t_end=1.0, dealias=use_dealias)
-    solver = SqgSolver(theta.grid, cfg)
+    require_mean_zero(theta, "nonlinear_term")
+    solver = SqgSolver(theta.grid, SolverConfig(alpha=1.0, dt=1.0, t_end=1.0))
     tendency = solver.nonlinear_spectral(rfft2(theta.values))
     return ScalarField(theta.grid, -irfft2(tendency, s=theta.grid.shape), theta.time_stamp)
-
-
-def step(state, config):
-    """Advance one configured time step; raises on blow-up or CFL violation."""
-    _require_mean_zero(state)
-    solver = SqgSolver(state.grid, config)
-    new = solver.step_spectral(rfft2(state.values), config.dt)
-    if config.dt > solver.cfl_bound():
-        raise StabilityError(
-            f"dt={config.dt:.3e} exceeds CFL bound {solver.cfl_bound():.3e}"
-        )
-    values = irfft2(new, s=state.grid.shape)
-    before = max(float(np.max(np.abs(state.values))), 1e-300)
-    after = float(np.max(np.abs(values)))
-    if after > BLOWUP_FACTOR * max(before, 1e-12):
-        raise BlowUpError(
-            f"max|theta| grew from {before:.3e} to {after:.3e} in one step "
-            f"at t={state.time_stamp:.6f}"
-        )
-    return ScalarField(state.grid, values, state.time_stamp + config.dt)
 
 
 @dataclass
@@ -274,7 +248,7 @@ def run(theta0, config, snapshot_times=None):
     sub-steps no longer than config.dt.  Per-step L2 and L-infinity norms
     are recorded for the decay diagnostics.  Deterministic for fixed input.
     """
-    _require_mean_zero(theta0)
+    require_mean_zero(theta0, "the solver")
     grid = theta0.grid
     solver = SqgSolver(grid, config)
     h2 = grid.spacing**2
@@ -376,6 +350,28 @@ def _cumulative_trapezoid(values, dt):
     return out
 
 
+def level_terms(field, levels, alpha):
+    """Per-level terms of the energy audit at one snapshot.
+
+    Returns a (3, len(levels)) array: for t = (field - level)_+ the energy
+    sum_x t^2 h^2 (a physical sum), the squared Hdot^(alpha/2) seminorm of
+    t and the pairing int t Lambda^alpha field dx, the last two by Parseval
+    on the half spectrum from one rfft2 of the field and one per level.
+    """
+    grid = field.grid
+    h2 = grid.spacing**2
+    weight = half_spectrum(grid).radial_power(alpha)
+    lap_hat = weight * rfft2(field.values)
+    out = np.empty((3, len(levels)))
+    for i, lam in enumerate(levels):
+        trunc = truncate_level(field, lam).values
+        t_hat = rfft2(trunc)
+        out[0, i] = np.sum(trunc**2) * h2
+        out[1, i] = parseval_sum(grid, t_hat, weight * t_hat)
+        out[2, i] = parseval_sum(grid, t_hat, lap_hat)
+    return out
+
+
 def audit_energy(history, levels, alpha, rel_tolerance=1e-6):
     """Check the level-set energy inequality on every snapshot pair.
 
@@ -400,12 +396,7 @@ def audit_energy(history, levels, alpha, rel_tolerance=1e-6):
     hdot = np.zeros((n_lev, n_t))
     pairing = np.zeros((n_lev, n_t))
     for j, f in enumerate(history):
-        lap = fractional_laplacian(f, alpha)
-        for i, lam in enumerate(levels):
-            trunc = truncate_level(f, lam)
-            energy[i, j] = np.sum(trunc.values**2) * h2
-            hdot[i, j] = sobolev_norm(trunc, alpha / 2.0) ** 2
-            pairing[i, j] = np.sum(trunc.values * lap.values) * h2
+        energy[:, j], hdot[:, j], pairing[:, j] = level_terms(f, levels, alpha)
 
     hdot_acc = np.zeros((n_lev, n_t))
     pair_acc = np.zeros((n_lev, n_t))
@@ -442,7 +433,7 @@ def audit_energy(history, levels, alpha, rel_tolerance=1e-6):
             panel_err = QUAD_SAFETY * dt * dt / 12.0 * np.maximum(smeared, model_floor)
             allowance[i, 1:] = np.cumsum(panel_err)
 
-    l2s = np.array([l2_norm(f) for f in history])
+    l2s = np.array([np.sqrt(np.sum(f.values**2) * h2) for f in history])
     linfs = np.array([float(np.max(np.abs(f.values))) for f in history])
     ledger = EnergyLedger(
         times=times,
@@ -564,13 +555,24 @@ def read_checkpoint(path, side_length=2.0 * np.pi):
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r} at byte 0")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported format version {version}")
+        raise CheckpointError(f"unsupported format version {version} at byte 4")
+    if n <= 0 or n & (n - 1):
+        raise CheckpointError(f"grid size N={n} at byte 8 is not a positive power of two")
+    if not 0.0 < alpha <= 1.0:
+        raise CheckpointError(f"alpha={alpha!r} at byte 12 is outside (0, 1]")
+    if not np.isfinite(time_stamp):
+        raise CheckpointError(f"non-finite time {time_stamp!r} at byte 20")
     expected = _HEADER.size + 8 * n * n
     if len(raw) != expected:
         raise CheckpointError(
             f"payload length mismatch: expected {expected} bytes for N={n}, "
             f"found {len(raw)} (missing {expected - len(raw)})"
         )
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, n)
-    field = ScalarField(Grid(n, side_length), values.copy(), time_stamp)
+    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise CheckpointError(
+            f"non-finite payload value at byte {_HEADER.size + 8 * int(bad[0])}"
+        )
+    field = ScalarField(Grid(n, side_length), values.reshape(n, n).copy(), time_stamp)
     return field, alpha, version

@@ -1,12 +1,12 @@
 """Periodic-grid Fourier infrastructure.
 
 Everything downstream (solver, extension, diagnostics) is built on a square
-doubly-periodic grid.  This module owns the grid bookkeeping, the forward and
-inverse transforms, the cached per-grid half-spectrum operator that the
-solver and the extension share (``half_spectrum``), Fourier-multiplier
-operators (fractional Laplacian, Riesz transforms), homogeneous Sobolev
-norms, 2/3-rule dealiasing, and band-limited evaluation of a gridded field
-at arbitrary uniform lattices (chirp-z based), which the oscillation
+doubly-periodic grid.  This module owns the grid bookkeeping, the cached
+per-grid half-spectrum operator (``half_spectrum``) that holds every
+Fourier symbol of the package, the multipliers and norms built on it
+(fractional Laplacian, Riesz velocity, gradient, homogeneous Sobolev
+norms, Parseval sums), and band-limited evaluation of a gridded field at
+arbitrary uniform lattices (chirp-z based), which the oscillation
 diagnostics use for zooming and recentering.
 
 The underlying model domain is the plane; the torus is a computational
@@ -16,19 +16,41 @@ at the fundamental-domain boundary, centered at the point of interest.
 Conventions
 -----------
 * values[i, j] = f(x1, x2) with x1 = i * spacing, x2 = j * spacing.
-* Spectral coefficients use the raw ``numpy.fft.fft2`` layout (unnormalized
-  forward transform, wavevectors in standard FFT order).
+* Spectral coefficients are the raw ``scipy.fft.rfft2`` half spectrum
+  (unnormalized forward transform): row i carries k1 in FFT order (the
+  k1-Nyquist row i = n/2 at k1 = -pi n / L), column j carries
+  k2 = 2 pi j / L for j = 0 .. n/2.  Multipliers act as
+  ``irfft2(symbol * rfft2(f), s=(n, n))``.
+* Odd symbols (i k_j and the Riesz symbols) are anti-Hermitian on their own
+  Nyquist line, where a real field has no derivative to give; they are
+  zeroed there: ``dx1`` and ``riesz_v`` on the k1-Nyquist row, ``dx2`` and
+  ``riesz_u`` on the k2-Nyquist column.  This is what the real part of the
+  full-spectrum ``ifft2(symbol * fft2(f))`` does; ``irfft2`` would drop the
+  column by itself but keep the row.
+* Parseval on the half spectrum: sum_x f g = (1/n^2) sum_k parseval[k2]
+  Re(conj(f_hat) g_hat), where ``parseval`` is 1 on the self-conjugate
+  columns 0 and n/2 and 2 between (those columns also stand for their
+  conjugate partners).
 * The Riesz transform R_j has Fourier symbol ``+i k_j / |k|``.  With this
   choice the physical-space kernel is ``c (y - x)_j / |y - x|^3`` with
   c = 1 / (2 pi); the sign and constant are pinned by a quadrature oracle in
   the test suite.
+* Full-spectrum ``numpy.fft`` appears only where the full spectrum is the
+  point: ``random_band_limited`` (Hermitian symmetrization of the drawn
+  coefficients) and ``evaluate_on_lattice`` (chirp-z on the signed
+  coefficients).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 from scipy.signal import czt
+
+# relative size (against max(|f|, 1)) of the mean that Riesz velocities and
+# the solver accept as zero
+MEAN_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,10 +84,6 @@ class Grid:
         k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
         return np.meshgrid(k, k, indexing="ij")
 
-    def wavenumber_magnitude(self):
-        k1, k2 = self.wavevectors()
-        return np.sqrt(k1 * k1 + k2 * k2)
-
     def offsets(self, coordinate):
         """Minimal-image offsets of the 1-D node line from ``coordinate``."""
         L = self.side_length
@@ -94,20 +112,23 @@ class HalfSpectrum:
     0) with ``radii[radius_index] == magnitude``, so radial multipliers are
     evaluated once per radius and scattered; the 2/3-rule mask ``dealias``;
     the velocity symbols ``riesz_u`` = -i k2/|k| and ``riesz_v`` = i k1/|k|
-    (zero at k = 0); and the derivative symbols ``dx1`` = i k1 and ``dx2``
-    = i k2 as a column and a row.  Use ``half_spectrum(grid)``.
+    (zero at k = 0); the derivative symbols ``dx1`` = i k1 and ``dx2``
+    = i k2 as a column and a row; and the column weight ``parseval``.  The
+    odd symbols are zeroed on their Nyquist line (see the module
+    Conventions).  Use ``half_spectrum(grid)``.
     """
 
     def __init__(self, grid):
-        k1 = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-        k2 = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
+        n = grid.n
+        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+        k2 = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing)
         K1, K2 = np.meshgrid(k1, k2, indexing="ij")
         mag = np.sqrt(K1 * K1 + K2 * K2)
         radii, index = np.unique(mag, return_inverse=True)
         inv_mag = np.zeros_like(mag)
         nz = mag > 0
         inv_mag[nz] = 1.0 / mag[nz]
-        cutoff = (2.0 / 3.0) * np.pi * grid.n / grid.side_length
+        cutoff = (2.0 / 3.0) * np.pi * n / grid.side_length
         self.k1 = k1
         self.k2 = k2
         self.magnitude = mag
@@ -115,11 +136,25 @@ class HalfSpectrum:
         self.radius_index = index.reshape(mag.shape)
         self.dealias = (np.abs(K1) <= cutoff) & (np.abs(K2) <= cutoff)
         self.riesz_u = -1j * K2 * inv_mag
+        self.riesz_u[:, n // 2] = 0.0
         self.riesz_v = 1j * K1 * inv_mag
+        self.riesz_v[n // 2, :] = 0.0
         self.dx1 = 1j * k1[:, None]
+        self.dx1[n // 2] = 0.0
         self.dx2 = 1j * k2[None, :]
+        self.dx2[0, n // 2] = 0.0
+        self.parseval = np.full(n // 2 + 1, 2.0)
+        self.parseval[[0, n // 2]] = 1.0
         for array in vars(self).values():
             array.flags.writeable = False
+
+    def radial_power(self, exponent):
+        """|k|^exponent on the half spectrum, 0 at k = 0 unless exponent is 0."""
+        with np.errstate(divide="ignore"):
+            table = self.radii**exponent
+        if exponent != 0:
+            table[0] = 0.0
+        return table[self.radius_index]
 
 
 @lru_cache(maxsize=8)
@@ -150,25 +185,6 @@ class ScalarField:
 
 
 @dataclass
-class SpectralField:
-    """Complex Fourier coefficients of a ScalarField (fft2 layout)."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.complex128)
-        if self.coefficients.shape != self.grid.shape:
-            raise ValueError("coefficient shape does not match grid")
-
-    def hermitian_defect(self):
-        """Max |c(-k) - conj(c(k))|; zero for transforms of real fields."""
-        c = self.coefficients
-        flipped = np.roll(np.flip(c, axis=(0, 1)), shift=(1, 1), axis=(0, 1))
-        return float(np.max(np.abs(flipped - np.conj(c))))
-
-
-@dataclass
 class VelocityField:
     """Two-component velocity (u, v) = (w_1, w_2) on a Grid."""
 
@@ -193,119 +209,75 @@ class VelocityField:
 RIESZ_KERNEL_CONSTANT = 1.0 / (2.0 * np.pi)
 
 
-def forward_transform(field):
-    """FFT of a scalar field.  Rejects non-finite input."""
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("non-finite input")
-    return SpectralField(field.grid, np.fft.fft2(field.values))
+def require_mean_zero(field, what):
+    """Raise unless the mean of ``field`` vanishes relative to max(|f|, 1).
+
+    The Riesz symbol is undefined at k = 0 and every multiplier here
+    annihilates the zero mode, so a nonzero mean would silently be dropped.
+    """
+    scale = max(float(np.max(np.abs(field.values))), 1.0)
+    if abs(field.mean()) > MEAN_TOLERANCE * scale:
+        raise ValueError(
+            f"{what} requires a mean-zero field "
+            f"(relative mean {field.mean() / scale:.3e})"
+        )
 
 
-def inverse_transform(spec, time_stamp=0.0):
-    values = np.fft.ifft2(spec.coefficients).real
-    return ScalarField(spec.grid, values, time_stamp)
+def parseval_sum(grid, a_hat, b_hat):
+    """sum_x a(x) b(x) h^2 from the rfft2 half spectra of a and b.
+
+    Either spectrum may carry a real multiplier, which then acts on that
+    factor: parseval_sum(grid, a_hat, m * b_hat) = sum_x a (M b) h^2.
+    """
+    product = a_hat.real * b_hat.real
+    product += a_hat.imag * b_hat.imag
+    product *= half_spectrum(grid).parseval
+    return float((grid.spacing / grid.n) ** 2 * np.sum(product))
 
 
 def fractional_laplacian(field, order):
     """Fractional Laplacian: multiplier |k|^order, zero mode mapped to 0."""
     if not (0.0 < order < 2.0):
         raise ValueError(f"order must lie in (0, 2), got {order}")
-    spec = forward_transform(field)
-    mag = field.grid.wavenumber_magnitude()
-    mult = np.zeros_like(mag)
-    nz = mag > 0
-    mult[nz] = mag[nz] ** order
-    return inverse_transform(
-        SpectralField(field.grid, spec.coefficients * mult), field.time_stamp
-    )
+    grid = field.grid
+    symbol = half_spectrum(grid).radial_power(order)
+    values = irfft2(symbol * rfft2(field.values), s=grid.shape)
+    return ScalarField(grid, values, field.time_stamp)
 
 
-def riesz_transform(field, component):
-    """R_j with symbol i k_j / |k| (j = 1 or 2). Annihilates the zero mode."""
-    spec = forward_transform(field)
-    k1, k2 = field.grid.wavevectors()
-    kj = k1 if component == 1 else k2
-    mag = np.sqrt(k1 * k1 + k2 * k2)
-    symbol = np.zeros_like(mag, dtype=np.complex128)
-    nz = mag > 0
-    symbol[nz] = 1j * kj[nz] / mag[nz]
-    return inverse_transform(
-        SpectralField(field.grid, spec.coefficients * symbol), field.time_stamp
-    )
-
-
-def riesz_velocity(field, mean_tolerance=1e-10):
-    """Velocity w = (-R_2 theta, R_1 theta) of a mean-zero scalar.
-
-    The mean must vanish (relative to the field's L-infinity size) because
-    the Riesz symbol is undefined at k = 0; the transforms annihilate the
-    zero mode, so a nonzero mean would silently be dropped.
-    """
-    scale = max(float(np.max(np.abs(field.values))), 1.0)
-    if abs(field.mean()) > mean_tolerance * scale:
-        raise ValueError(
-            f"riesz_velocity requires a mean-zero field "
-            f"(relative mean {field.mean() / scale:.3e})"
-        )
-    u = -riesz_transform(field, 2).values
-    v = riesz_transform(field, 1).values
-    return VelocityField(field.grid, u, v)
+def riesz_velocity(field):
+    """Velocity w = (-R_2 theta, R_1 theta) of a mean-zero scalar."""
+    require_mean_zero(field, "riesz_velocity")
+    grid = field.grid
+    op = half_spectrum(grid)
+    spec = rfft2(field.values)
+    u = irfft2(op.riesz_u * spec, s=grid.shape)
+    v = irfft2(op.riesz_v * spec, s=grid.shape)
+    return VelocityField(grid, u, v)
 
 
 def sobolev_norm(field, order):
     """Homogeneous Sobolev norm of given order.
 
     Parseval-normalized so that order 0 returns the L^2 norm on the torus:
-    ||f||^2 = (L^2 / N^4) * sum_k |f_hat_k|^2 |k|^(2*order), zero mode
-    excluded for order != 0.
+    ||f||^2 = (L^2 / N^4) * sum_k |f_hat_k|^2 |k|^(2*order) over the full
+    spectrum, zero mode excluded for order != 0.
     """
-    spec = forward_transform(field)
-    grid = field.grid
-    mag = grid.wavenumber_magnitude()
-    weight = np.zeros_like(mag)
-    nz = mag > 0
-    if order == 0.0:
-        weight[:] = 1.0
-    else:
-        weight[nz] = mag[nz] ** (2.0 * order)
-    total = np.sum(np.abs(spec.coefficients) ** 2 * weight)
-    norm_sq = (grid.side_length**2 / grid.n**4) * total
-    return float(np.sqrt(norm_sq))
+    spec = rfft2(field.values)
+    weight = half_spectrum(field.grid).radial_power(2.0 * order)
+    return float(np.sqrt(parseval_sum(field.grid, spec, weight * spec)))
 
 
 def l2_norm(field):
     return sobolev_norm(field, 0.0)
 
 
-def dealias_mask(grid):
-    """Boolean mask keeping modes with both |k_i| <= (2/3) k_max."""
-    k1, k2 = grid.wavevectors()
-    k_max = np.pi * grid.n / grid.side_length  # largest |k component|
-    cutoff = (2.0 / 3.0) * k_max
-    return (np.abs(k1) <= cutoff) & (np.abs(k2) <= cutoff)
-
-
-def dealias(spec):
-    """2/3-rule truncation for quadratic nonlinearities; idempotent."""
-    mask = dealias_mask(spec.grid)
-    return SpectralField(spec.grid, spec.coefficients * mask)
-
-
 def gradient(field):
     """Spectral gradient (d/dx1, d/dx2) of a scalar field."""
-    spec = forward_transform(field)
-    k1, k2 = field.grid.wavevectors()
-    g1 = np.fft.ifft2(1j * k1 * spec.coefficients).real
-    g2 = np.fft.ifft2(1j * k2 * spec.coefficients).real
-    return g1, g2
-
-
-def spectral_divergence_max(vel):
-    """Max-norm of the spectral divergence of a velocity field."""
-    k1, k2 = vel.grid.wavevectors()
-    du = 1j * k1 * np.fft.fft2(vel.u)
-    dv = 1j * k2 * np.fft.fft2(vel.v)
-    div = np.fft.ifft2(du + dv).real
-    return float(np.max(np.abs(div)))
+    grid = field.grid
+    op = half_spectrum(grid)
+    spec = rfft2(field.values)
+    return irfft2(op.dx1 * spec, s=grid.shape), irfft2(op.dx2 * spec, s=grid.shape)
 
 
 def _signed_coefficients_1d(c, axis):
@@ -388,23 +360,3 @@ def random_band_limited(grid, k_max_index, seed, amplitude=1.0, time_stamp=0.0):
     if peak > 0:
         values *= amplitude / peak
     return ScalarField(grid, values, time_stamp)
-
-
-def shift_field(field, offset):
-    """Cyclic translation by a (possibly off-grid) offset: f(x) -> f(x + offset).
-
-    Implemented as the exact phase shift of the trigonometric interpolant.
-    """
-    c = np.fft.fft2(field.values)
-    k1, k2 = field.grid.wavevectors()
-    # Real output requires the Nyquist rows to see a real multiplier; use the
-    # cosine via symmetrized phase only when the offset is off-grid.
-    phase = np.exp(1j * (k1 * offset[0] + k2 * offset[1]))
-    n = field.grid.n
-    base = 2.0 * np.pi / field.grid.side_length
-    nyq = n // 2
-    phase[nyq, :] = np.cos(base * nyq * offset[0]) * np.exp(1j * k2[nyq, :] * offset[1])
-    phase[:, nyq] = np.exp(1j * k1[:, nyq] * offset[0]) * np.cos(base * nyq * offset[1])
-    phase[nyq, nyq] = np.cos(base * nyq * offset[0]) * np.cos(base * nyq * offset[1])
-    values = np.fft.ifft2(c * phase).real
-    return ScalarField(field.grid, values, field.time_stamp)

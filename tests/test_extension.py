@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import irfft2, rfft2
 
+import full_spectrum as fs
 from sqgdiag.degiorgi import extension_cutoff
 from sqgdiag.extension import (
     ExtensionField,
@@ -40,7 +41,7 @@ def grid():
 def extension_oracle(theta, z_levels, eps):
     """Full-spectrum per-mode extension: one profile evaluation per mode."""
     spec = np.fft.fft2(theta.values)
-    mag = theta.grid.wavenumber_magnitude()
+    mag = fs.magnitude(theta.grid)
     return np.stack(
         [np.fft.ifft2(spec * extension_profile(mag * z, eps)).real for z in z_levels]
     )
@@ -50,7 +51,7 @@ def dirichlet_oracle(ext, cutoff):
     """weighted_dirichlet_energy's value by full-spectrum derivatives."""
     grid = ext.base_grid
     prod = ext.values * cutoff
-    k1, k2 = grid.wavevectors()
+    k1, k2 = fs.wavevectors(grid)
     dz = _z_derivative(prod, ext.z_levels)
     g = []
     for j in range(len(ext.z_levels)):

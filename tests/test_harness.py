@@ -2,21 +2,34 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sqgdiag.harness as harness_mod
 from sqgdiag.cli import main
 from sqgdiag.harness import (
+    DIAGNOSTIC_NAMES,
+    INITIAL_CONDITIONS,
     RunConfig,
     diagnose,
     echo_to_config,
+    extension_report,
     load_config,
     parse_config,
     simulate,
 )
-from sqgdiag.solver import read_checkpoint
+from sqgdiag.solver import audit_energy, check_l2_monotone, read_checkpoint
 from sqgdiag.spectral import Grid, ScalarField, l2_norm
+
+# config text values: no comment marker, line break or whitespace
+CONFIG_TEXT = st.text(
+    st.characters(exclude_characters="#", exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+    max_size=12,
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @pytest.fixture
@@ -58,6 +71,45 @@ t_end = 0.5
     def test_bad_line_reported_with_number(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_config("n = 32\nnot a pair\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("n = abc", "config line 1: n: invalid literal for int"),
+            ("n = 32\n\ndt = 1e", "config line 3: dt: could not convert"),
+            ("seed = 1.5", "config line 1: seed"),
+        ],
+    )
+    def test_bad_value_reported_with_number(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(-(2**40), 2**40),
+        seed=st.integers(0, 2**64 - 1),
+        ic_k_max=st.integers(0, 64),
+        floats=st.tuples(FINITE, FINITE, FINITE, FINITE, FINITE, FINITE),
+        initial_condition=st.sampled_from(INITIAL_CONDITIONS),
+        ic_file=CONFIG_TEXT,
+        output_dir=CONFIG_TEXT,
+        integrator=CONFIG_TEXT,
+        diagnostics=st.lists(st.sampled_from(DIAGNOSTIC_NAMES), max_size=4),
+        dealias=st.booleans(),
+    )
+    def test_text_round_trip_property(
+        self, n, seed, ic_k_max, floats, initial_condition, ic_file, output_dir,
+        integrator, diagnostics, dealias,
+    ):
+        side_length, alpha, dt, t_end, ic_amplitude, snapshot_interval = floats
+        cfg = RunConfig(
+            n=n, side_length=side_length, alpha=alpha, dt=dt, t_end=t_end, seed=seed,
+            initial_condition=initial_condition, ic_k_max=ic_k_max,
+            ic_amplitude=ic_amplitude, ic_file=ic_file,
+            snapshot_interval=snapshot_interval, diagnostics=tuple(diagnostics),
+            output_dir=output_dir, dealias=dealias, integrator=integrator,
+        )
+        assert parse_config(cfg.to_text()) == cfg
 
     def test_echo_round_trip(self, config, tmp_path):
         _, report = simulate(config)
@@ -174,6 +226,28 @@ class TestDiagnose:
         report = diagnose(paths, ["l2_monotone"], config=config)
         assert len(report.sections) == 1
 
+    def test_norm_checks_run_the_audit_without_levels(self, config, monkeypatch):
+        # l2_monotone reads only the ledger's norms, so the 16 levels are
+        # audited only when energy_audit is requested
+        paths, _ = simulate(config)
+        seen = []
+
+        def recording(history, levels, alpha):
+            seen.append(len(levels))
+            return audit_energy(history, levels, alpha)
+
+        monkeypatch.setattr(harness_mod, "audit_energy", recording)
+        report = diagnose(paths, ("l2_monotone",), config=config)
+        assert seen == [0]
+        history, alpha = harness_mod.load_checkpoints(paths)
+        levels = np.linspace(history[0].values.min(), history[0].values.max(), 16)
+        full = audit_energy(history, levels, alpha)
+        assert report.sections == [
+            {"name": "l2_monotone", "passed": check_l2_monotone(full.ledger)}
+        ]
+        diagnose(paths, ("l2_monotone", "energy_audit"), config=config)
+        assert seen == [0, 16]
+
     def test_mismatched_checkpoints_rejected(self, config, tmp_path):
         paths, _ = simulate(config)
         other = RunConfig(
@@ -274,3 +348,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "dtn_eps_0.0,1" in captured.out
+
+
+def test_no_full_spectrum_transforms_outside_random_band_limited(tmp_path, monkeypatch):
+    # every multiplier and norm runs on the half spectrum; full-spectrum
+    # fft2/ifft2 may only come from the random initial data
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    cfg = RunConfig(
+        n=32, alpha=1.0, dt=2e-3, t_end=2.0, seed=5, initial_condition="random_band_limited",
+        ic_k_max=6, snapshot_interval=0.1, output_dir=str(tmp_path / "guard"),
+    )
+    paths, _ = simulate(cfg)
+    assert calls == [("ifft2", "random_band_limited")]
+    report = diagnose(paths, DIAGNOSTIC_NAMES, config=cfg)
+    assert [s["name"] for s in report.sections] == list(DIAGNOSTIC_NAMES)
+    ext = extension_report(epsilons=(0.0, 0.1), n=32)
+    assert len(ext.sections) == 2
+    assert calls == [("ifft2", "random_band_limited")] * 3

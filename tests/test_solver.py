@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.fft import irfft2, rfft2
 
+import full_spectrum as fs
 import sqgdiag.solver as solver_mod
 from sqgdiag.solver import (
     CheckpointError,
@@ -19,8 +20,8 @@ from sqgdiag.solver import (
     check_linf_decay,
     nonlinear_term,
     read_checkpoint,
+    level_terms,
     run,
-    step,
     truncate_level,
     write_checkpoint,
 )
@@ -165,13 +166,6 @@ class TestStep:
         cfg = SolverConfig(alpha=0.95, dt=5e-3, t_end=0.1)
         with pytest.raises(solver_mod.BlowUpError):
             run(theta, cfg)
-
-    def test_step_function_single(self, grid):
-        cfg = SolverConfig(alpha=1.0, dt=1e-3, t_end=1.0)
-        out = step(single_mode(grid), cfg)
-        assert out.time_stamp == pytest.approx(1e-3)
-        x1, _ = grid.coordinates()
-        assert np.allclose(out.values, np.exp(-1e-3) * np.sin(x1), atol=1e-10)
 
 
 class TestOperatorPath:
@@ -342,6 +336,41 @@ class TestAuditEnergy:
         audit = audit_energy(res.history, levels, 0.9)
         assert audit.passed, audit.violations[:5]
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        side=st.sampled_from([2 * np.pi, 5.0]),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.05, 1.0),
+        fractions=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=5),
+    )
+    def test_level_terms_match_full_spectrum(self, n, side, seed, alpha, fractions):
+        # energy, Hdot^(alpha/2) seminorm and pairing by Parseval on the
+        # half spectrum against the fft2 formulas, on white noise (Nyquist
+        # lines included) and levels below, inside and above its range
+        g = Grid(n, side)
+        values = fs.white_noise(g, seed)
+        lo, hi = values.min(), values.max()
+        levels = [lo + f * (hi - lo) for f in fractions]
+        got = level_terms(ScalarField(g, values), levels, alpha)
+        expected = fs.audit_terms(values, g, levels, alpha)
+        assert got.shape == (3, len(levels))
+        assert np.array_equal(got[0], expected[0])  # the same physical sum
+        for term in (1, 2):
+            scale = np.max(np.abs(expected[term]))
+            assert np.max(np.abs(got[term] - expected[term])) <= 1e-13 * scale
+
+    def test_no_levels_keeps_the_norms(self, grid):
+        theta = random_band_limited(grid, 5, [27, 0, 0])
+        cfg = SolverConfig(alpha=0.9, dt=5e-3, t_end=0.2)
+        res = run(theta, cfg, snapshot_times=np.linspace(0, 0.2, 5))
+        bare = audit_energy(res.history, [], 0.9)
+        full = audit_energy(res.history, [0.0, 0.2], 0.9)
+        assert bare.passed and bare.ledger.hdot_alpha_accumulated.shape == (0, 5)
+        assert np.array_equal(bare.ledger.l2_norms, full.ledger.l2_norms)
+        assert np.array_equal(bare.ledger.linf_norms, full.ledger.linf_norms)
+        assert bare.ledger.l2_norms == pytest.approx(res.l2_norms[::10], rel=1e-14)
+
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             audit_energy([], [0.0], 0.9)
@@ -448,6 +477,71 @@ class TestCheckpoint:
         path = tmp_path / "tiny.sqgd"
         path.write_bytes(b"SQ")
         with pytest.raises(CheckpointError, match="header"):
+            read_checkpoint(path)
+
+    @staticmethod
+    def small_checkpoint(path):
+        theta = random_band_limited(Grid(8), 2, [30, 0, 0], time_stamp=0.5)
+        write_checkpoint(path, theta, alpha=0.9)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "offset,packed,where",
+        [
+            (8, (0).to_bytes(4, "little"), "byte 8"),
+            (8, (3).to_bytes(4, "little"), "byte 8"),
+            (12, np.array([np.nan]).astype("<f8").tobytes(), "byte 12"),
+            (12, np.array([1.5]).astype("<f8").tobytes(), "byte 12"),
+            (12, np.array([0.0]).astype("<f8").tobytes(), "byte 12"),
+            (20, np.array([np.inf]).astype("<f8").tobytes(), "byte 20"),
+        ],
+    )
+    def test_bad_header_field_names_its_byte(self, tmp_path, offset, packed, where):
+        path = tmp_path / "snap.sqgd"
+        raw = bytearray(self.small_checkpoint(path))
+        raw[offset : offset + len(packed)] = packed
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=where):
+            read_checkpoint(path)
+
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(cut=st.integers(1, 28 + 8 * 64 - 1))
+    def test_truncated_anywhere(self, tmp_path, cut):
+        path = tmp_path / "snap.sqgd"
+        raw = self.small_checkpoint(path)
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            read_checkpoint(path)
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(position=st.integers(0, 28 + 8 * 64 - 1), byte=st.integers(0, 255))
+    def test_corrupted_byte_raises_only_checkpoint_error(self, tmp_path, position, byte):
+        path = tmp_path / "snap.sqgd"
+        raw = bytearray(self.small_checkpoint(path))
+        raw[position] = byte
+        path.write_bytes(bytes(raw))
+        try:
+            field, alpha, _ = read_checkpoint(path)
+        except CheckpointError:
+            return
+        assert np.all(np.isfinite(field.values)) and 0.0 < alpha <= 1.0
+        assert np.isfinite(field.time_stamp)
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(index=st.integers(0, 63), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_payload_names_its_offset(self, tmp_path, index, bad):
+        path = tmp_path / "snap.sqgd"
+        raw = bytearray(self.small_checkpoint(path))
+        offset = 28 + 8 * index
+        raw[offset : offset + 8] = np.array([bad]).astype("<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"non-finite payload value at byte {offset}$"):
             read_checkpoint(path)
 
     def test_golden_fixture_layout(self, tmp_path):

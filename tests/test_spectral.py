@@ -1,29 +1,23 @@
-"""Spectral core: transforms, multipliers, norms, dealiasing, resampling."""
+"""Spectral core: the half-spectrum operator, multipliers, norms, resampling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import irfft2, rfft2
 
+import full_spectrum as fs
 from sqgdiag.spectral import (
     Grid,
     RIESZ_KERNEL_CONSTANT,
     ScalarField,
-    SpectralField,
-    dealias,
-    dealias_mask,
     evaluate_on_lattice,
-    forward_transform,
     fractional_laplacian,
     gradient,
     half_spectrum,
-    inverse_transform,
-    l2_norm,
+    parseval_sum,
     random_band_limited,
-    riesz_transform,
     riesz_velocity,
-    shift_field,
     sobolev_norm,
-    spectral_divergence_max,
 )
 
 
@@ -85,26 +79,33 @@ class TestGrid:
 
 
 class TestTransforms:
+    """The rfft2 layout the half-spectrum operator is written for."""
+
     def test_constant_field_zero_mode(self, grid):
         c = 2.7
-        spec = forward_transform(ScalarField(grid, np.full(grid.shape, c)))
-        coeff = spec.coefficients.copy()
+        f = ScalarField(grid, np.full(grid.shape, c))
+        coeff = rfft2(f.values)
         assert abs(coeff[0, 0] - c * grid.n**2) < 1e-9
         coeff[0, 0] = 0.0
         assert np.max(np.abs(coeff)) < 1e-9
+        # the L2 norm keeps the zero mode, the seminorms drop it
+        assert sobolev_norm(f, 0.0) == pytest.approx(c * grid.side_length, rel=1e-14)
+        assert sobolev_norm(f, 0.5) < 1e-9
 
     def test_single_harmonic_two_modes(self, grid, coords):
         x1, _ = coords
-        spec = forward_transform(ScalarField(grid, np.sin(x1)))
-        mag = np.abs(spec.coefficients)
+        spec = rfft2(np.sin(x1))
+        mag = np.abs(spec)
         nonzero = np.argwhere(mag > 1e-8 * mag.max())
-        assert len(nonzero) == 2
         assert {tuple(p) for p in nonzero} == {(1, 0), (grid.n - 1, 0)}
+        op = half_spectrum(grid)
+        assert op.k1[1] == 1.0 and op.k1[grid.n - 1] == -1.0 and op.k2[0] == 0.0
 
     def test_round_trip_identity(self, grid):
         f = random_field(grid, seed=1)
-        back = inverse_transform(forward_transform(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+        identity = half_spectrum(grid).radial_power(0.0)
+        back = irfft2(identity * rfft2(f.values), s=grid.shape)
+        assert np.max(np.abs(back - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
     def test_non_finite_rejected(self, grid):
         values = np.zeros(grid.shape)
@@ -113,8 +114,12 @@ class TestTransforms:
             ScalarField(grid, values)
 
     def test_hermitian_symmetry(self, grid):
-        spec = forward_transform(random_field(grid, seed=2))
-        assert spec.hermitian_defect() < 1e-9
+        # columns 0 and n/2 are their own conjugate partners, which is why
+        # the Parseval weight counts them once
+        spec = rfft2(fs.white_noise(grid, seed=2))
+        flipped = np.roll(spec[::-1], 1, axis=0)  # row -k1
+        for col in (0, grid.n // 2):
+            assert np.max(np.abs(flipped[:, col] - np.conj(spec[:, col]))) < 1e-9
 
 
 class TestFractionalLaplacian:
@@ -178,16 +183,20 @@ class TestRiesz:
 
     def test_divergence_free(self, grid):
         w = riesz_velocity(random_field(grid, seed=7))
-        assert spectral_divergence_max(w) <= 1e-13 * max(1.0, w.max_speed())
+        du, _ = gradient(ScalarField(grid, w.u))
+        _, dv = gradient(ScalarField(grid, w.v))
+        assert np.max(np.abs(du + dv)) <= 1e-13 * max(1.0, w.max_speed())
 
     def test_mean_zero_required(self, grid):
         with pytest.raises(ValueError):
             riesz_velocity(ScalarField(grid, np.full(grid.shape, 0.1)))
 
     def test_riesz_identity(self, grid):
+        # R1^2 + R2^2 = -I off the zero mode and the Nyquist lines, where
+        # the odd symbols are zeroed; R1 = riesz_v and R2 = -riesz_u
         f = random_field(grid, seed=8)
-        out = riesz_transform(riesz_transform(f, 1), 1).values
-        out += riesz_transform(riesz_transform(f, 2), 2).values
+        op = half_spectrum(grid)
+        out = irfft2((op.riesz_v**2 + op.riesz_u**2) * rfft2(f.values), s=grid.shape)
         assert np.max(np.abs(out + f.values)) <= 1e-10 * np.max(np.abs(f.values))
 
     def test_kernel_quadrature_pins_sign(self):
@@ -248,7 +257,7 @@ class TestHalfSpectrum:
         arrays = vars(op)
         assert set(arrays) == {
             "k1", "k2", "magnitude", "radii", "radius_index", "dealias",
-            "riesz_u", "riesz_v", "dx1", "dx2",
+            "riesz_u", "riesz_v", "dx1", "dx2", "parseval",
         }
         for name, array in arrays.items():
             assert not array.flags.writeable, name
@@ -260,8 +269,9 @@ class TestHalfSpectrum:
         g = Grid(n, side)
         op = half_spectrum(g)
         half = slice(0, n // 2 + 1)
-        k1, k2 = g.wavevectors()
-        mag = g.wavenumber_magnitude()[:, half]
+        nyq = n // 2
+        k1, k2 = fs.wavevectors(g)
+        mag = fs.magnitude(g)[:, half]
         assert op.magnitude.shape == (n, n // 2 + 1)
         assert np.array_equal(op.magnitude, mag)
         assert np.array_equal(op.radii[op.radius_index], op.magnitude)
@@ -270,39 +280,112 @@ class TestHalfSpectrum:
         # the rfft2 layout carries the Nyquist column at +n/2
         assert np.array_equal(op.k2[:-1], k2[0, : n // 2])
         assert op.k2[-1] == -k2[0, n // 2] > 0
-        assert np.array_equal(op.dealias, dealias_mask(g)[:, half])
+        assert np.array_equal(op.dealias, fs.dealias_mask(g)[:, half])
         K1, K2 = np.meshgrid(op.k1, op.k2, indexing="ij")
-        nz = mag > 0
-        assert np.allclose(op.riesz_u[nz], -1j * K2[nz] / mag[nz], rtol=1e-15, atol=0)
-        assert np.allclose(op.riesz_v[nz], 1j * K1[nz] / mag[nz], rtol=1e-15, atol=0)
+        # odd symbols: the full-spectrum formula off their Nyquist line,
+        # zero on it (k1-Nyquist row for i k1, k2-Nyquist column for i k2)
+        row = np.zeros(mag.shape, bool)
+        row[nyq] = True
+        col = np.zeros(mag.shape, bool)
+        col[:, nyq] = True
+        keep_u = (mag > 0) & ~col
+        keep_v = (mag > 0) & ~row
+        u_full = -1j * K2[keep_u] / mag[keep_u]
+        v_full = 1j * K1[keep_v] / mag[keep_v]
+        assert np.allclose(op.riesz_u[keep_u], u_full, rtol=1e-15, atol=0)
+        assert np.allclose(op.riesz_v[keep_v], v_full, rtol=1e-15, atol=0)
+        assert np.all(op.riesz_u[col] == 0.0) and np.all(op.riesz_v[row] == 0.0)
         assert op.riesz_u[0, 0] == 0.0 and op.riesz_v[0, 0] == 0.0
-        assert np.array_equal(np.broadcast_to(op.dx1, mag.shape), 1j * K1)
-        assert np.array_equal(np.broadcast_to(op.dx2, mag.shape), 1j * K2)
+        dx1 = np.broadcast_to(op.dx1, mag.shape)
+        dx2 = np.broadcast_to(op.dx2, mag.shape)
+        assert np.array_equal(dx1[~row], (1j * K1)[~row]) and np.all(dx1[row] == 0.0)
+        assert np.array_equal(dx2[~col], (1j * K2)[~col]) and np.all(dx2[col] == 0.0)
+        assert op.parseval.shape == (n // 2 + 1,)
+        assert op.parseval[0] == op.parseval[-1] == 1.0 and np.all(op.parseval[1:-1] == 2.0)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_radial_power_zero_mode(self, n):
+        op = half_spectrum(Grid(n, 5.0))
+        assert np.all(op.radial_power(0.0) == 1.0)
+        for p in (0.9, -1.0):
+            table = op.radial_power(p)
+            assert table[0, 0] == 0.0
+            nz = op.magnitude > 0
+            assert np.array_equal(table[nz], op.magnitude[nz] ** p)
+
+
+class TestFullSpectrumOracle:
+    """Multipliers and norms on the half spectrum against the fft2 formulas."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        side=st.sampled_from([2 * np.pi, 5.0]),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.floats(0.05, 1.95),
+    )
+    def test_operators_match_full_spectrum(self, n, side, seed, order):
+        g = Grid(n, side)
+        values = fs.white_noise(g, seed)
+        f = ScalarField(g, values)
+
+        def close(got, expected):
+            return np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+        lap = fractional_laplacian(f, order).values
+        assert close(lap, fs.fractional_laplacian(values, g, order))
+        w = riesz_velocity(f)
+        assert close(w.u, -fs.riesz(values, g, 2))
+        assert close(w.v, fs.riesz(values, g, 1))
+        g1, g2 = gradient(f)
+        expected1, expected2 = fs.gradient(values, g)
+        assert close(g1, expected1) and close(g2, expected2)
+        for s_order in (0.0, order / 2.0, order, 1.0):
+            assert sobolev_norm(f, s_order) == pytest.approx(
+                fs.sobolev_norm(values, g, s_order), rel=1e-13
+            )
+        other = fs.white_noise(g, seed + 1)
+        direct = np.sum(values * other) * g.spacing**2
+        scale = np.sqrt(np.sum(values**2) * np.sum(other**2)) * g.spacing**2
+        assert abs(parseval_sum(g, rfft2(values), rfft2(other)) - direct) <= 1e-13 * scale
 
 
 class TestDealias:
+    """The operator's 2/3-rule mask, applied on the half spectrum."""
+
+    @staticmethod
+    def dealiased(grid, values):
+        return irfft2(half_spectrum(grid).dealias * rfft2(values), s=grid.shape)
+
     def test_idempotent(self, grid):
-        spec = forward_transform(random_field(grid, seed=9, k_max=30))
-        once = dealias(spec)
-        twice = dealias(once)
-        assert np.array_equal(once.coefficients, twice.coefficients)
+        once = self.dealiased(grid, random_field(grid, seed=9, k_max=30).values)
+        twice = self.dealiased(grid, once)
+        assert np.max(np.abs(twice - once)) <= 1e-13 * np.max(np.abs(once))
 
     def test_index_set_oracle(self, grid):
-        spec = forward_transform(random_field(grid, seed=10, k_max=31))
-        out = dealias(spec).coefficients
-        k1, k2 = grid.wavevectors()
+        spec = rfft2(random_field(grid, seed=10, k_max=31).values)
+        op = half_spectrum(grid)
+        out = op.dealias * spec
+        K1, K2 = np.meshgrid(op.k1, op.k2, indexing="ij")
         cutoff = (2.0 / 3.0) * np.pi * grid.n / grid.side_length
-        killed = (np.abs(k1) > cutoff) | (np.abs(k2) > cutoff)
+        killed = (np.abs(K1) > cutoff) | (np.abs(K2) > cutoff)
+        assert killed.any() and not killed.all()
         assert np.all(out[killed] == 0.0)
-        assert np.array_equal(out[~killed], spec.coefficients[~killed])
+        assert np.array_equal(out[~killed], spec[~killed])
 
     def test_zero_field(self, grid):
-        spec = SpectralField(grid, np.zeros(grid.shape, complex))
-        assert np.all(dealias(spec).coefficients == 0.0)
+        assert np.all(self.dealiased(grid, np.zeros(grid.shape)) == 0.0)
+        # a field inside the retained band passes unchanged
+        f = random_field(grid, seed=12, k_max=8).values
+        assert np.max(np.abs(self.dealiased(grid, f) - f)) <= 1e-13
 
     def test_hermitian_preserved(self, grid):
-        spec = dealias(forward_transform(random_field(grid, seed=11, k_max=30)))
-        assert spec.hermitian_defect() < 1e-9
+        # the masked full spectrum stays Hermitian, so its inverse is real
+        # and equals the half-spectrum result
+        values = random_field(grid, seed=11, k_max=30).values
+        full = np.fft.ifft2(fs.dealias_mask(grid) * np.fft.fft2(values))
+        assert np.max(np.abs(full.imag)) < 1e-13
+        assert np.max(np.abs(full.real - self.dealiased(grid, values))) < 1e-13
 
 
 class TestResampling:
@@ -320,11 +403,43 @@ class TestResampling:
         out = evaluate_on_lattice(f, (0.17, 1.0), (0.013, 0.1), (7, 3))
         assert np.max(np.abs(out - np.sin(3 * pts)[:, None])) < 1e-12
 
-    def test_shift_field_exact(self, grid, coords):
+    def test_lattice_shift_exact(self, grid, coords):
+        # the grid lattice moved by an off-grid offset is the cyclic shift
+        # f(x) -> f(x + offset) of the trigonometric interpolant
         x1, _ = coords
         f = ScalarField(grid, np.sin(x1))
-        out = shift_field(f, (0.37, -1.2))
-        assert np.max(np.abs(out.values - np.sin(x1 + 0.37))) < 1e-12
+        h = grid.spacing
+        out = evaluate_on_lattice(f, (0.37, -1.2), (h, h), grid.shape)
+        assert np.max(np.abs(out - np.sin(x1 + 0.37))) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16]),
+        side=st.sampled_from([2 * np.pi, 5.0]),
+        seed=st.integers(0, 2**32 - 1),
+        origin=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        step=st.tuples(st.floats(1e-3, 2.0), st.floats(1e-3, 2.0)),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    )
+    def test_lattice_evaluation_matches_direct_sum(self, n, side, seed, origin, step, shape):
+        # direct trigonometric sum of the interpolant at every lattice point;
+        # a Nyquist mode enters as cos(k x), its real band-limited form
+        g = Grid(n, side)
+        values = fs.white_noise(g, seed)
+        c = np.fft.fft2(values) / n**2
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing)
+
+        def basis(x):
+            e = np.exp(1j * np.multiply.outer(x, k))
+            e[..., n // 2] = np.cos(x * k[n // 2])
+            return e
+
+        x1 = origin[0] + step[0] * np.arange(shape[0])
+        x2 = origin[1] + step[1] * np.arange(shape[1])
+        direct = np.einsum("pa,ab,qb->pq", basis(x1), c, basis(x2)).real
+        out = evaluate_on_lattice(ScalarField(g, values), origin, step, shape)
+        assert out.shape == shape
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(values))
 
     def test_gradient_single_mode(self, grid, coords):
         x1, x2 = coords
