@@ -23,7 +23,6 @@ from .solver import (
     audit_energy,
     check_l2_monotone,
     check_linf_decay,
-    nonlinear_term,
     read_checkpoint,
     run,
     truncate_level,
@@ -52,7 +51,6 @@ from .oscillation import (
     recenter_flow,
     rescale_recenter,
     run_iteration_suite,
-    split_velocity,
     tail_integral,
 )
 from .constants import (

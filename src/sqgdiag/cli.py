@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: simulate, diagnose, constants, extension-check, isoperimetric,
-energy-audit.  Every subcommand but constants takes --out <dir> and
---format json|csv; simulate, extension-check and isoperimetric also take
---seed <u64>, and simulate takes --config <path>.  The environment variable
-SQG_NO_COLOR disables ANSI colors in the per-check pass/fail lines.  Exit
-status is nonzero iff an enabled check fails.
+Subcommands: simulate, diagnose, constants, extension-check, isoperimetric.
+The level-set energy audit is ``diagnose --checks energy_audit``.  Every
+subcommand but constants takes --out <dir> and --format json|csv; simulate,
+extension-check and isoperimetric also take --seed <u64>, and simulate
+takes --config <path>.  The environment variable SQG_NO_COLOR disables ANSI
+colors in the per-check pass/fail lines.  Exit status is nonzero iff an
+enabled check fails.
 """
 
 import argparse
@@ -93,11 +94,6 @@ def build_parser():
     _add_output(p, seed=True)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--samples", type=int, default=100_000)
-
-    p = sub.add_parser("energy-audit", help="level-set energy audit of checkpoints")
-    _add_output(p)
-    p.add_argument("checkpoints", nargs="+", help="checkpoint files")
-    p.add_argument("--side-length", type=float, default=2.0 * np.pi)
     return parser
 
 
@@ -123,12 +119,8 @@ def main(argv=None):
                 print(p)
         return 0
 
-    if args.command in ("diagnose", "energy-audit"):
-        toggles = (
-            ["energy_audit"]
-            if args.command == "energy-audit"
-            else [t for t in args.checks.split(",") if t]
-        )
+    if args.command == "diagnose":
+        toggles = [t for t in args.checks.split(",") if t]
         try:
             report = diagnose(args.checkpoints, toggles, side_length=args.side_length)
         except ValueError as exc:

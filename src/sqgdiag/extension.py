@@ -131,9 +131,6 @@ class ExtensionField:
         if self.values.shape != (len(self.z_levels),) + self.base_grid.shape:
             raise ValueError("values shape does not match grid x z_levels")
 
-    def boundary(self):
-        return ScalarField(self.base_grid, self.values[0].copy(), self.time_stamp)
-
     def max_principle_defect(self):
         """max over z of sup|theta(., z)| minus sup|theta(., 0)|."""
         sup_z = np.max(np.abs(self.values), axis=(1, 2))
@@ -183,19 +180,14 @@ def grid_k_max(grid):
     return float(np.sqrt(2.0) * np.pi * grid.n / grid.side_length)
 
 
-def trace_ladder(grid, n_points=4, ratio=2.0, extra_top=None):
-    """Geometric z-ladder for the Neumann trace, topped at 0.1 / k_max.
+def trace_ladder(grid):
+    """z = 0 and the four-level ratio-2 ladder up to 0.1 / k_max.
 
-    Returns levels starting at 0; append coarser levels via ``extra_top``
-    (an array) when the extension is also used for energies or suprema.
+    These are the levels ``neumann_trace`` reads; a caller that also needs
+    coarser levels merges them in with ``np.unique``.
     """
     top = 0.1 / grid_k_max(grid)
-    ladder = top / ratio ** np.arange(n_points - 1, -1, -1)
-    levels = np.concatenate([[0.0], ladder])
-    if extra_top is not None:
-        extra = np.asarray(extra_top, dtype=float)
-        levels = np.unique(np.concatenate([levels, extra[extra > top]]))
-    return levels
+    return np.concatenate([[0.0], top / 2.0 ** np.arange(3, -1, -1)])
 
 
 def neumann_trace(ext):
@@ -237,7 +229,7 @@ def neumann_trace(ext):
     return ScalarField(ext.base_grid, estimates[0])
 
 
-def calibrate_dtn_constant(grid, epsilon, wavenumber=1, z_levels=None):
+def calibrate_dtn_constant(grid, epsilon, wavenumber=1):
     """Trace-to-multiplier ratio d_eps measured on one Fourier mode.
 
     The calibration field is sin(wavenumber * x1); the returned constant is
@@ -247,9 +239,7 @@ def calibrate_dtn_constant(grid, epsilon, wavenumber=1, z_levels=None):
     """
     x1, _ = grid.coordinates()
     theta = ScalarField(grid, np.sin(wavenumber * x1))
-    if z_levels is None:
-        z_levels = trace_ladder(grid)
-    ext = extend(theta, z_levels, epsilon)
+    ext = extend(theta, trace_ladder(grid), epsilon)
     trace = neumann_trace(ext)
     target = fractional_laplacian(theta, 1.0 - epsilon)
     num = float(np.sum(trace.values * target.values))

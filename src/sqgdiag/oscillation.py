@@ -49,6 +49,7 @@ from .spectral import (
 LATTICE_KAPPA = -1.9501313
 
 EDGE_MARGIN = 0.9  # fraction of the half-side inside which bounds are checked
+PER_RING_SAMPLES = 8  # grid nodes per ring at which the slow velocity is bounded
 
 # Frozen output of calibrate_split_bound_constant: the single constant C
 # with sup_B1 |w2| <= -C log(rho) and sup_B1 |w3| <= C rho across the
@@ -330,31 +331,15 @@ class VelocitySplit:
         """_kernel_sum over ``region`` at each grid-node point, shape (k, 2).
 
         One rfft2 of theta * 1_region and two irfft2 against the cached
-        kernel spectrum give the sum at every node.  The direct sum rounds
-        the antipodal offset n/2 of a target to +L/2 or -L/2 depending on
-        the target; the kernel holds -L/2, so where rounding gave +L/2 the
-        antipodal line's odd component is re-signed to reproduce it.
+        kernel spectrum give the sum at every node; the kernel holds the
+        antipodal offset at -L/2, as ``Grid.offsets`` does.
         """
         grid = self.theta.grid
-        n, half = grid.n, 0.5 * grid.side_length
-        line = 2.0 * RIESZ_KERNEL_CONSTANT * grid.spacing**2 * half
-        f = np.where(region, self.theta.values, 0.0)
-        spec = rfft2(f)
+        spec = rfft2(np.where(region, self.theta.values, 0.0))
         k1, k2 = _kernel_spectrum(grid)
         c1 = irfft2(spec * np.conj(k1), s=grid.shape)
         c2 = irfft2(spec * np.conj(k2), s=grid.shape)
-        out = []
-        for p in points:
-            i, j = self._node_index(p)
-            w = np.array([c1[i, j], c2[i, j]])
-            e1, e2 = grid.offsets(p[0]), grid.offsets(p[1])
-            a, b = (i + n // 2) % n, (j + n // 2) % n
-            if e1[a] > 0:  # row a entered with u1 = +L/2
-                w[1] += line * np.sum(f[a, :] / (half**2 + e2**2) ** 1.5)
-            if e2[b] > 0:  # column b entered with u2 = +L/2
-                w[0] -= line * np.sum(f[:, b] / (e1**2 + half**2) ** 1.5)
-            out.append(w)
-        return np.array(out)
+        return np.array([(c1[ij], c2[ij]) for ij in map(self._node_index, points)])
 
     def sup_slow_components(self, points):
         """(sup |w2|, sup |w3|) over the given grid nodes.
@@ -366,11 +351,6 @@ class VelocitySplit:
             return s2, 0.0
         w3 = self._node_sums(self._far, points) - self.w_bar
         return s2, float(np.max(np.hypot(*w3.T)))
-
-
-def split_velocity(theta, rho, center):
-    """Build the velocity decomposition (see VelocitySplit)."""
-    return VelocitySplit(theta, center, rho)
 
 
 def admissible_field(grid, center, delta, seed, band=12):
@@ -399,7 +379,7 @@ def calibrate_split_bound_constant(
     """
     grid = Grid(n, side)
     c = (0.5 * side, 0.5 * side)
-    pts = _bound_sample_points(grid, c, 3, 8)
+    pts = _bound_sample_points(grid, c, 3, PER_RING_SAMPLES)
     worst = 0.0
     for rho in rhos:
         for i in range(count):
@@ -629,7 +609,6 @@ class IterationConfig:
     delta: float = None  # chosen from the step-1 eta when None
     ode_step_divisor: int = 64
     bound_sample_rings: int = 3
-    per_ring_samples: int = 8
 
 
 @dataclass
@@ -735,9 +714,7 @@ def run_iteration_suite(history, config):
 
     rho, alpha, M = config.rho, config.alpha, config.M
     epsilon = 1.0 - alpha
-    sample_pts = _bound_sample_points(
-        grid, center, config.bound_sample_rings, config.per_ring_samples
-    )
+    sample_pts = _bound_sample_points(grid, center, config.bound_sample_rings, PER_RING_SAMPLES)
 
     records = []
     current = history

@@ -85,9 +85,17 @@ class Grid:
         return np.meshgrid(k, k, indexing="ij")
 
     def offsets(self, coordinate):
-        """Minimal-image offsets of the 1-D node line from ``coordinate``."""
+        """Minimal-image offsets of the 1-D node line from ``coordinate``.
+
+        Offsets lie in [-L/2, L/2).  At a node target the antipodal node is
+        a tie that rounding leaves at +L/2 (or just below) for some targets;
+        any offset within 1e-9 spacings below +L/2 is taken as exactly
+        -L/2, so every target sees its antipodal line on the same side.
+        """
         L = self.side_length
-        return (np.arange(self.n) * self.spacing - coordinate + 0.5 * L) % L - 0.5 * L
+        d = (np.arange(self.n) * self.spacing - coordinate + 0.5 * L) % L - 0.5 * L
+        d[d > 0.5 * L - 1e-9 * self.spacing] = -0.5 * L
+        return d
 
     def displacement(self, center):
         """Minimal-image displacement (D1, D2) of every node from ``center``.
@@ -197,9 +205,6 @@ class VelocityField:
         self.v = np.asarray(self.v, dtype=np.float64)
         if self.u.shape != self.grid.shape or self.v.shape != self.grid.shape:
             raise ValueError("velocity component shape does not match grid")
-
-    def max_speed(self):
-        return float(np.sqrt(self.u * self.u + self.v * self.v).max())
 
 
 # Kernel constant of the Riesz transform with symbol i k_j / |k|:

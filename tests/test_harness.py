@@ -65,8 +65,10 @@ t_end = 0.5
         assert cfg.n == 32 and cfg.alpha == 0.95
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config("resolution = 64")
+        # includes keys that older config files may still set
+        for key in ("resolution = 64", "dealias = true", "integrator = etd_rk4"):
+            with pytest.raises(ValueError, match="config line 2: unknown key"):
+                parse_config(f"n = 32\n{key}\n")
 
     def test_bad_line_reported_with_number(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -93,13 +95,10 @@ t_end = 0.5
         initial_condition=st.sampled_from(INITIAL_CONDITIONS),
         ic_file=CONFIG_TEXT,
         output_dir=CONFIG_TEXT,
-        integrator=CONFIG_TEXT,
         diagnostics=st.lists(st.sampled_from(DIAGNOSTIC_NAMES), max_size=4),
-        dealias=st.booleans(),
     )
     def test_text_round_trip_property(
-        self, n, seed, ic_k_max, floats, initial_condition, ic_file, output_dir,
-        integrator, diagnostics, dealias,
+        self, n, seed, ic_k_max, floats, initial_condition, ic_file, output_dir, diagnostics,
     ):
         side_length, alpha, dt, t_end, ic_amplitude, snapshot_interval = floats
         cfg = RunConfig(
@@ -107,7 +106,7 @@ t_end = 0.5
             initial_condition=initial_condition, ic_k_max=ic_k_max,
             ic_amplitude=ic_amplitude, ic_file=ic_file,
             snapshot_interval=snapshot_interval, diagnostics=tuple(diagnostics),
-            output_dir=output_dir, dealias=dealias, integrator=integrator,
+            output_dir=output_dir,
         )
         assert parse_config(cfg.to_text()) == cfg
 
@@ -298,7 +297,8 @@ class TestCli:
         main(["simulate", "--config", str(tmp_path / "run.cfg")])
         capsys.readouterr()
         checkpoints = sorted(str(p) for p in out_dir.glob("checkpoint_*.sqgd"))
-        assert main(["energy-audit", *checkpoints]) == 0
+        assert main(["diagnose", *checkpoints, "--checks", "energy_audit", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["section,passed", "energy_audit,1"]
 
     def test_constants_subcommand_emits_json(self, capsys):
         code = main(
@@ -314,7 +314,7 @@ class TestCli:
         monkeypatch.setenv("SQG_NO_COLOR", "1")
         bad = tmp_path / "bad.sqgd"
         bad.write_bytes(b"SQGD" + bytes(10))
-        code = main(["energy-audit", str(bad)])
+        code = main(["diagnose", str(bad), "--checks", "energy_audit"])
         captured = capsys.readouterr()
         assert code == 2
         assert "error" in captured.err
@@ -330,7 +330,7 @@ class TestCli:
         "argv",
         [
             ["diagnose", "--config", "x.cfg", "a.sqgd"],
-            ["energy-audit", "--seed", "3", "a.sqgd"],
+            ["diagnose", "--seed", "3", "a.sqgd"],
             ["constants", "--L", "0.5", "--C", "1", "--alpha", "0.95", "--eta", "0.3",
              "--format", "csv"],
             ["isoperimetric", "--config", "x.cfg"],

@@ -22,7 +22,6 @@ from sqgdiag.oscillation import (
     recenter_flow,
     rescale_recenter,
     run_iteration_suite,
-    split_velocity,
     tail_integral,
     tail_series,
     tail_truncation_radius,
@@ -149,7 +148,7 @@ class TestVelocitySplit:
         vals -= vals.mean()
         theta = ScalarField(g, vals)
         w = riesz_velocity(theta)
-        sp = split_velocity(theta, 1.0 / 8.0, c)
+        sp = VelocitySplit(theta, c, 1.0 / 8.0)
         h = g.spacing
         ii, jj = np.where(r2 <= 1.0)
         sel = slice(0, len(ii), max(1, len(ii) // 40))
@@ -243,12 +242,18 @@ class TestVelocitySplit:
         assert (scale[1] == 0.0) == sp.far_empty
 
     def test_node_sums_at_rounded_antipodes(self):
-        # on a 4 pi grid, the direct sum rounds the antipodal offset of
-        # some nodes to +L/2: the correlation route must follow it
+        # on a 4 pi grid, the raw minimal-image formula rounds the antipodal
+        # offset of some nodes to +L/2; offsets puts every antipode at -L/2
+        # (up to the last bit), where the kernel spectrum holds it, so the
+        # correlation route and the direct sum agree at those nodes
         g = Grid(128, 4 * np.pi)
-        h, n = g.spacing, g.n
-        flipped = [q for q in range(n) if g.offsets(q * h)[(q + n // 2) % n] > 0]
+        h, n, L = g.spacing, g.n, g.side_length
+        raw = [(np.arange(n) * h - q * h + 0.5 * L) % L - 0.5 * L for q in range(n)]
+        flipped = [q for q in range(n) if raw[q][(q + n // 2) % n] > 0]
         assert flipped
+        antipodes = np.array([g.offsets(q * h)[(q + n // 2) % n] for q in range(n)])
+        assert np.all(antipodes[flipped] == -0.5 * L)
+        assert np.all(np.abs(antipodes + 0.5 * L) <= 1e-9 * h)
         theta = random_band_limited(g, 8, [46, 0, 0])
         sp = VelocitySplit(theta, (2 * np.pi, 2 * np.pi), None)
         pts = [(flipped[0] * h, flipped[-1] * h), (flipped[0] * h, 0.0), (0.0, flipped[-1] * h)]
