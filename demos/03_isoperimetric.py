@@ -36,7 +36,7 @@ print(f"  lhs = {res.lhs:.4f} vs C * strip^(1/2) * energy^(1/2) = {res.rhs:.4f}"
       f"  -> {'PASS' if res.passed else 'FAIL'}")
 
 print("\nrandom family (first five members, eps = 0.1):")
-mcf = WeightedRegion(weight_exponent=0.1, sample_count=200_000, seed=11)
+mcf = WeightedRegion(sample_count=200_000, seed=11)
 for i, member in enumerate(isoperimetric_family(5, 0.1, seed=2025)):
     r = isoperimetric_check(member, 0.1, ISOPERIMETRIC_CONSTANT, mcf)
     print(f"  member {i}: lhs = {r.lhs:.5f}, rhs = {r.rhs:.5f} "

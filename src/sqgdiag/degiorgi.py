@@ -1,14 +1,16 @@
 """Numerical checks of the two De Giorgi-type building blocks.
 
-Both live on weighted half-balls B_r^* = B_r x [0, r) with the measure
-z^eps dX.  The isoperimetric bound
+Both lemmas are stated on the weighted half-ball B_1^* = B_1 x [0, 1) with
+the measure z^eps dX, around the point of interest, which sqgdiag always
+puts at the domain centre.  The isoperimetric bound
 
     |{w <= 0}| |{w >= 1}| <= C |{0 < w < 1}|^(1/2) ||w||_{Hdot^1(z^eps)}
 
 is a property of H^1 functions; the local energy bound controls the growth
-of level-set energy of a solution under a compactly supported cutoff.  Both
-constants are non-constructive in the analysis, so the suite calibrates
-them once on a declared family and freezes the values below.
+of level-set energy of a solution under a compactly supported cutoff, which
+is 1 on B_1^* and supported in B_2^*.  Both constants are non-constructive
+in the analysis, so the suite calibrates them once on a declared family and
+freezes the values below.
 
 Set measures are Monte Carlo estimates (the sets have irregular boundaries,
 and the standard error gives a quantified tolerance); gradients of sampled
@@ -37,32 +39,27 @@ from .spectral import Grid, ScalarField, random_band_limited
 ISOPERIMETRIC_CONSTANT = 0.65
 LOCAL_ENERGY_CONSTANT = 2.0
 
-REGION_RADII = {"half_ball_B1star": 1.0, "half_ball_B2star": 2.0}
 MC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class WeightedRegion:
-    """Monte Carlo sampling plan for a weighted half-ball."""
+    """Monte Carlo sampling plan for B_1^* at the domain centre.
 
-    region: str = "half_ball_B1star"
-    weight_exponent: float = 0.0
+    The samples are uniform in the unit half-cylinder, relative to its
+    centre; the weight z^eps is applied by the measures, which take eps as
+    an argument.
+    """
+
     sample_count: int = 200_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.region not in REGION_RADII:
-            raise ValueError(f"unknown region {self.region!r}")
         if self.sample_count <= 0:
             raise ValueError("sample_count must be positive")
 
-    @property
-    def radius(self):
-        return REGION_RADII[self.region]
-
     def volume(self):
-        r = self.radius
-        return np.pi * r * r * r  # disk area times height
+        return np.pi  # unit disk area times unit height
 
     def sample_points(self):
         """Deterministic samples, chunked over sub-streams of the seed.
@@ -70,51 +67,48 @@ class WeightedRegion:
         Sub-stream i is seeded with [seed, 1, i]; chunks are concatenated in
         fixed order, so results are bit-reproducible for a fixed seed
         regardless of how the chunks are evaluated.  The plan depends only
-        on (radius, sample_count, seed) and is cached; the returned array
-        is shared and read-only.
+        on (sample_count, seed) and is cached; the returned array is shared
+        and read-only.
         """
-        return _sample_plan(self.radius, self.sample_count, self.seed)
+        return _sample_plan(self.sample_count, self.seed)
 
 
 @lru_cache(maxsize=2)
-def _sample_plan(r, n, seed):
+def _sample_plan(n, seed):
     chunks = []
     for i in range((n + MC_CHUNK - 1) // MC_CHUNK):
         m = min(MC_CHUNK, n - i * MC_CHUNK)
         rng = np.random.default_rng([seed, 1, i])
         u = rng.random((3, m))
-        rad = r * np.sqrt(u[0])
+        rad = np.sqrt(u[0])
         ang = 2.0 * np.pi * u[1]
-        z = r * u[2]
-        chunks.append(np.stack([rad * np.cos(ang), rad * np.sin(ang), z]))
+        chunks.append(np.stack([rad * np.cos(ang), rad * np.sin(ang), u[2]]))
     pts = np.concatenate(chunks, axis=1)
     pts.flags.writeable = False
     return pts
 
 
-def interpolate_extension(ext, x1, x2, z, center=None):
-    """Trilinear sampling of an extension field at points relative to center.
+def interpolate_extension(ext, x1, x2, z):
+    """Trilinear sampling of an extension field, points relative to the centre.
 
     Periodic in the horizontal directions, linear in z with clamping to the
     sampled range.
     """
-    return _trilinear(ext.values, _trilinear_plan(ext, x1, x2, z, center))
+    return _trilinear(ext.values, _trilinear_plan(ext, x1, x2, z))
 
 
-def _trilinear_plan(ext, x1, x2, z, center=None):
+def _trilinear_plan(ext, x1, x2, z):
     """Corner indices and weights of ``interpolate_extension`` at the points.
 
     The plan depends only on the lattice (grid and z-levels), so one plan
     serves every field sampled on that lattice at the same points.
     """
     grid = ext.base_grid
-    if center is None:
-        c = 0.5 * grid.side_length
-        center = (c, c)
+    c = 0.5 * grid.side_length
     h = grid.spacing
     n = grid.n
-    p1 = (np.asarray(x1) + center[0]) / h
-    p2 = (np.asarray(x2) + center[1]) / h
+    p1 = (np.asarray(x1) + c) / h
+    p2 = (np.asarray(x2) + c) / h
     i0 = np.floor(p1).astype(int)
     j0 = np.floor(p2).astype(int)
     p1 -= i0  # fractional parts
@@ -144,6 +138,7 @@ def _trilinear(values, plan):
     return lo * (1 - fz) + hi * fz
 
 
+# The three level sets of the isoperimetric bound.
 PREDICATES = {
     "le_zero": lambda w: w <= 0.0,
     "ge_one": lambda w: w >= 1.0,
@@ -151,22 +146,25 @@ PREDICATES = {
 }
 
 
-def weighted_measure(ext, predicate, eps, mc, center=None):
-    """Monte Carlo estimate of int_{set} z^eps dX over the sampling region.
+def _mc_mean(samples, mc):
+    """(estimate, standard error) of the integral of samples over mc's region."""
+    vol = mc.volume()
+    return (
+        vol * float(samples.mean()),
+        vol * float(samples.std(ddof=1)) / np.sqrt(samples.size),
+    )
+
+
+def weighted_measure(ext, predicate, eps, mc):
+    """Monte Carlo estimate of int_{set} z^eps dX over B_1^*.
 
     Returns (estimate, standard_error); deterministic for a fixed seed.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     pts = mc.sample_points()
-    if pts.shape[1] == 0:
-        raise ValueError("zero samples")
-    w = interpolate_extension(ext, pts[0], pts[1], pts[2], center=center)
-    values = np.where(PREDICATES[predicate](w), pts[2] ** eps, 0.0)
-    vol = mc.volume()
-    est = vol * float(values.mean())
-    se = vol * float(values.std(ddof=1)) / np.sqrt(values.size)
-    return est, se
+    w = interpolate_extension(ext, *pts)
+    return _mc_mean(np.where(PREDICATES[predicate](w), pts[2] ** eps, 0.0), mc)
 
 
 def clamp_unit(ext):
@@ -203,7 +201,7 @@ class IsoperimetricResult:
     passed: bool
 
 
-def isoperimetric_check(ext, eps, constant_C, mc, center=None):
+def isoperimetric_check(ext, eps, constant_C, mc):
     """Evaluate both sides of the weighted isoperimetric bound.
 
     The field is clamped to [0, 1] before the gradient is taken.  All four
@@ -215,23 +213,17 @@ def isoperimetric_check(ext, eps, constant_C, mc, center=None):
     grad_sq = extension_gradient_squared(clamped)
 
     pts = mc.sample_points()
-    plan = _trilinear_plan(ext, pts[0], pts[1], pts[2], center)
+    plan = _trilinear_plan(ext, *pts)
     w = _trilinear(ext.values, plan)
-    g = _trilinear(grad_sq, plan)
     zw = pts[2] ** eps
-    vol = mc.volume()
-    n = w.size
-
-    def mc_mean(samples):
-        return (
-            vol * float(samples.mean()),
-            vol * float(samples.std(ddof=1)) / np.sqrt(n),
-        )
-
-    m_low, se_low = mc_mean(np.where(w <= 0.0, zw, 0.0))
-    m_high, se_high = mc_mean(np.where(w >= 1.0, zw, 0.0))
-    m_strip, se_strip = mc_mean(np.where((w > 0.0) & (w < 1.0), zw, 0.0))
-    m_grad, se_grad = mc_mean(g * zw)
+    measures = {
+        name: _mc_mean(np.where(PREDICATES[p](w), zw, 0.0), mc)
+        for name, p in (("low", "le_zero"), ("high", "ge_one"), ("strip", "between"))
+    }
+    measures["gradient"] = _mc_mean(_trilinear(grad_sq, plan) * zw, mc)
+    (m_low, se_low), (m_high, se_high), (m_strip, se_strip), (m_grad, se_grad) = (
+        measures.values()
+    )
 
     lhs = m_low * m_high
     lhs_se = np.hypot(m_high * se_low, m_low * se_high)
@@ -249,12 +241,7 @@ def isoperimetric_check(ext, eps, constant_C, mc, center=None):
         rhs=rhs,
         lhs_std_error=lhs_se,
         rhs_std_error=rhs_se,
-        measures={
-            "low": (m_low, se_low),
-            "high": (m_high, se_high),
-            "strip": (m_strip, se_strip),
-            "gradient": (m_grad, se_grad),
-        },
+        measures=measures,
         passed=bool(lhs <= rhs + 3.0 * combined),
     )
 
@@ -292,14 +279,6 @@ def linear_reference_profile(epsilon):
     return ExtensionField(grid, z_levels, vals, epsilon)
 
 
-def isoperimetric_ratio(ext, eps, mc, center=None):
-    """lhs / (strip^(1/2) grad^(1/2)): the constant this field requires."""
-    res = isoperimetric_check(ext, eps, 1.0, mc, center=center)
-    if res.rhs <= 0.0:
-        return 0.0 if res.lhs <= 0.0 else np.inf
-    return res.lhs / res.rhs
-
-
 # --- local energy inequality ---
 
 
@@ -313,13 +292,11 @@ class LocalEnergyResult:
     passed: bool
 
 
-def velocity_local_norm(vel, alpha, center=None):
-    """||w||_{L^(2n/alpha)(B_2)} on the grid (n = 2)."""
+def velocity_local_norm(vel, alpha):
+    """||w||_{L^(2n/alpha)(B_2)} on the grid (n = 2), B_2 at the domain centre."""
     grid = vel.grid
-    if center is None:
-        c = 0.5 * grid.side_length
-        center = (c, c)
-    d1, d2 = grid.displacement(center)
+    c = 0.5 * grid.side_length
+    d1, d2 = grid.displacement((c, c))
     inside = d1 * d1 + d2 * d2 < 4.0
     p = 4.0 / alpha
     speed = np.sqrt(vel.u**2 + vel.v**2)
@@ -328,22 +305,21 @@ def velocity_local_norm(vel, alpha, center=None):
     )
 
 
-def extension_cutoff(grid, z_levels, center=None):
+def extension_cutoff(grid, z_levels):
     """Smooth cutoff supported in B_2^*: 1 on B_1^*, 0 outside B_1.9^*.
 
-    Quintic smoothstep in |x| and in z, so the gradient is bounded and
-    continuous.  Returns an array shaped (n_z, n, n).
+    Centred at the domain centre.  Quintic smoothstep in |x| and in z, so
+    the gradient is bounded and continuous.  Returns an array shaped
+    (n_z, n, n).
     """
-    if center is None:
-        c = 0.5 * grid.side_length
-        center = (c, c)
+    c = 0.5 * grid.side_length
     r_flat, r_support = 1.0, 1.9
 
     def smooth(t):
         t = np.clip(t, 0.0, 1.0)
         return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
-    d1, d2 = grid.displacement(center)
+    d1, d2 = grid.displacement((c, c))
     r = np.sqrt(d1 * d1 + d2 * d2)
     radial = smooth((r - r_flat) / (r_support - r_flat))
     z = np.asarray(z_levels, dtype=float)
@@ -351,7 +327,7 @@ def extension_cutoff(grid, z_levels, center=None):
     return axial[:, None, None] * radial[None, :, :]
 
 
-def local_energy_check(history, velocities, cutoff, level, t1, t2, C1, center=None):
+def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     """Quadrature check of the cutoff level-set energy inequality.
 
     history: ExtensionField snapshots; velocities: VelocityField snapshots
@@ -361,7 +337,7 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1, center=No
     estimates and a relative floor.  Returns terms, budget and pass flag.
     """
     times = np.array([ext.time_stamp for ext in history])
-    vtimes = np.array([getattr(v, "time_stamp", t) for v, t in zip(velocities, times)])
+    vtimes = np.array([v.time_stamp for v in velocities])
     if len(history) != len(velocities) or np.max(np.abs(times - vtimes)) > 1e-9:
         raise ValueError("history and velocity time grids mismatched")
     sel = np.where((times >= t1 - 1e-12) & (times <= t2 + 1e-12))[0]
@@ -398,7 +374,7 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1, center=No
         rhs_x[idx] = np.sum(grad_eta_sq[0] * psi[0] ** 2) * h2
         per_level = np.sum(grad_eta_sq * psi**2, axis=(1, 2)) * h2
         rhs_ext[idx] = weighted_z_integral(ext.z_levels, per_level, eps)
-        vnorms[idx] = velocity_local_norm(velocities[j], alpha, center=center)
+        vnorms[idx] = velocity_local_norm(velocities[j], alpha)
 
     tt = times[sel]
     def time_trapezoid(series):

@@ -69,6 +69,11 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        # the grid and the solver check their own ranges
+        Grid(self.n, self.side_length)
+        SolverConfig(self.alpha, self.dt, self.t_end)
+        if not self.snapshot_interval > 0:
+            raise ValueError("snapshot_interval must be positive")
         if self.initial_condition not in INITIAL_CONDITIONS:
             raise ValueError(f"unknown initial condition {self.initial_condition!r}")
         for d in self.diagnostics:
@@ -88,7 +93,11 @@ class RunConfig:
 
 
 def parse_config(text):
-    """Parse the flat key = value format back into a RunConfig."""
+    """Parse the flat key = value format back into a RunConfig.
+
+    Each value is checked on its own line, against the defaults of the
+    other fields, so an error names the line that holds the bad value.
+    """
     field_types = {f.name: f.type for f in fields(RunConfig)}
     kwargs = {}
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -102,16 +111,17 @@ def parse_config(text):
         value = value.strip()
         if key not in field_types:
             raise ValueError(f"config line {ln}: unknown key {key!r}")
-        if key == "diagnostics":
-            kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key in ("initial_condition", "ic_file", "output_dir"):
-            kwargs[key] = value
-        else:
-            convert = int if key in ("n", "seed", "ic_k_max") else float
-            try:
+        try:
+            if key == "diagnostics":
+                kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+            elif key in ("initial_condition", "ic_file", "output_dir"):
+                kwargs[key] = value
+            else:
+                convert = int if key in ("n", "seed", "ic_k_max") else float
                 kwargs[key] = convert(value)
-            except ValueError as exc:
-                raise ValueError(f"config line {ln}: {key}: {exc}") from None
+            RunConfig(**{key: kwargs[key]})
+        except ValueError as exc:
+            raise ValueError(f"config line {ln}: {key}: {exc}") from None
     return RunConfig(**kwargs)
 
 
@@ -341,7 +351,7 @@ def isoperimetric_report(count=20, seed=2025, samples=100_000):
     """Family sweep against the frozen isoperimetric constant, eps = 0 and 0.1."""
     sections = []
     for eps in (0.0, 0.1):
-        mc = WeightedRegion(weight_exponent=eps, sample_count=samples, seed=seed)
+        mc = WeightedRegion(sample_count=samples, seed=seed)
         fields = [linear_reference_profile(eps)] + isoperimetric_family(count, eps, seed)
         results = [
             isoperimetric_check(ext, eps, ISOPERIMETRIC_CONSTANT, mc) for ext in fields

@@ -353,37 +353,38 @@ class VelocitySplit:
         return s2, float(np.max(np.hypot(*w3.T)))
 
 
-def admissible_field(grid, center, delta, seed, band=12):
+def admissible_field(grid, center, delta, seed):
     """A member of the split-bound calibration family.
 
-    Random band-limited field clipped by the step-k growth envelope:
-    |theta| <= 1 inside B_1(center) and |theta| <= 2 |x|^(2 delta) outside.
+    Random band-limited field (band limit 12) clipped by the step-k growth
+    envelope: |theta| <= 1 inside B_1(center) and |theta| <= 2 |x|^(2 delta)
+    outside.
     """
     d1, d2 = grid.displacement(center)
     r = np.hypot(d1, d2)
     envelope = np.minimum(1.0, 2.0 * np.maximum(r, 1e-9) ** (2.0 * delta))
     envelope[r <= 1.0] = 1.0
-    base = random_band_limited(grid, band, seed, amplitude=1.0)
+    base = random_band_limited(grid, 12, seed, amplitude=1.0)
     return ScalarField(grid, base.values * envelope)
 
 
-def calibrate_split_bound_constant(
-    rhos=(0.25, 0.125), count=8, delta=0.1, n=1024, side=40.0, seed=77
-):
+def calibrate_split_bound_constant():
     """Largest of sup|w2| / (-log rho) and sup|w3| / rho over the family.
 
-    SPLIT_BOUND_CONSTANT freezes this number (with headroom); the suite
-    re-derives it with these defaults and also checks the frozen value at
+    The declared family: 8 admissible fields (delta = 0.1, seeds
+    [77, 3, i]) on Grid(1024, 40), split at the domain centre with
+    rho = 1/4 and 1/8.  SPLIT_BOUND_CONSTANT freezes this number (with
+    headroom); the suite re-derives it and also checks the frozen value at
     the iteration's rho = 1/16 on a domain where the far region is
     non-empty.
     """
-    grid = Grid(n, side)
-    c = (0.5 * side, 0.5 * side)
-    pts = _bound_sample_points(grid, c, 3, PER_RING_SAMPLES)
+    grid = Grid(1024, 40.0)
+    c = (0.5 * grid.side_length, 0.5 * grid.side_length)
+    pts = _bound_sample_points(grid, c, 3)
     worst = 0.0
-    for rho in rhos:
-        for i in range(count):
-            theta = admissible_field(grid, c, delta, [seed, 3, i])
+    for rho in (0.25, 0.125):
+        for i in range(8):
+            theta = admissible_field(grid, c, 0.1, [77, 3, i])
             sp = VelocitySplit(theta, c, rho)
             s2, s3 = sp.sup_slow_components(pts)
             worst = max(worst, s2 / (-np.log(rho)), s3 / rho)
@@ -408,23 +409,24 @@ class RecenterPath:
         return np.array([x, y])
 
 
-def recenter_flow(w_slow, M, t_start, t_end=1.0, max_step=None):
-    """Integrate V' = M w_slow(V, t) backward from V(t_end) = 0.
+def recenter_flow(w_slow, M, t_start, max_step=None):
+    """Integrate V' = M w_slow(V, t) backward from V(1) = 0.
 
-    Classical fourth-order one-step method; ``max_step`` defaults to
-    (t_end - t_start) / 64.  Returns the sampled path on the uniform
-    integration grid, ascending in time.
+    The window ends at t = 1 (normalize_window maps it there), so the path
+    ends at the cylinder centre.  Classical fourth-order one-step method;
+    ``max_step`` defaults to (1 - t_start) / 64.  Returns the sampled path
+    on the uniform integration grid, ascending in time.
     """
-    span = t_end - t_start
+    span = 1.0 - t_start
     if span <= 0:
-        raise ValueError("t_start must precede t_end")
+        raise ValueError("t_start must precede 1")
     if max_step is None:
         max_step = span / 64.0
     n = max(1, int(np.ceil(span / max_step - 1e-12)))
     dt = -span / n
-    ts = [t_end]
+    ts = [1.0]
     vs = [np.zeros(2)]
-    t, v = t_end, np.zeros(2)
+    t, v = 1.0, np.zeros(2)
     for _ in range(n):
         k1 = M * np.asarray(w_slow(v, t))
         k2 = M * np.asarray(w_slow(v + 0.5 * dt * k1, t + 0.5 * dt))
@@ -639,8 +641,11 @@ def iteration_snapshot_times(t_end, rho, alpha, steps, per_window=12):
     return np.array(sorted(times))
 
 
-def _bound_sample_points(grid, center, rings, per_ring):
-    """Grid nodes near concentric rings in B_1(center), deduplicated."""
+def _bound_sample_points(grid, center, rings):
+    """Grid nodes near concentric rings in B_1(center), deduplicated.
+
+    PER_RING_SAMPLES nodes per ring, plus the node nearest the centre.
+    """
     h = grid.spacing
     pts = [
         (round(center[0] / h) * h % grid.side_length,
@@ -648,8 +653,8 @@ def _bound_sample_points(grid, center, rings, per_ring):
     ]
     for q in range(1, rings + 1):
         rad = q / (rings + 1)
-        for a in range(per_ring):
-            ang = 2 * np.pi * a / per_ring
+        for a in range(PER_RING_SAMPLES):
+            ang = 2 * np.pi * a / PER_RING_SAMPLES
             p = (center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang))
             pts.append(
                 (round(p[0] / h) * h % grid.side_length,
@@ -714,7 +719,7 @@ def run_iteration_suite(history, config):
 
     rho, alpha, M = config.rho, config.alpha, config.M
     epsilon = 1.0 - alpha
-    sample_pts = _bound_sample_points(grid, center, config.bound_sample_rings, PER_RING_SAMPLES)
+    sample_pts = _bound_sample_points(grid, center, config.bound_sample_rings)
 
     records = []
     current = history
@@ -759,7 +764,6 @@ def run_iteration_suite(history, config):
             w_slow,
             M_k,
             t_start=1.0 - rho**alpha,
-            t_end=1.0,
             max_step=rho**alpha / config.ode_step_divisor,
         )
         containment_ok = path.max_abs + rho <= 0.5 + 1e-9

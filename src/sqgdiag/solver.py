@@ -78,8 +78,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        if self.dt <= 0 or self.t_end < 0:
-            raise ValueError("dt must be positive and t_end non-negative")
+        if not (0 < self.dt < np.inf and 0 <= self.t_end < np.inf):
+            raise ValueError("dt must be positive and t_end non-negative, both finite")
         if self.integrator not in ("etd_rk2", "etd_rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 

@@ -194,11 +194,12 @@ class ScalarField:
 
 @dataclass
 class VelocityField:
-    """Two-component velocity (u, v) = (w_1, w_2) on a Grid."""
+    """Two-component velocity (u, v) = (w_1, w_2) on a Grid, tagged with a time."""
 
     grid: Grid
     u: np.ndarray
     v: np.ndarray
+    time_stamp: float = 0.0
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
@@ -258,7 +259,7 @@ def riesz_velocity(field):
     spec = rfft2(field.values)
     u = irfft2(op.riesz_u * spec, s=grid.shape)
     v = irfft2(op.riesz_v * spec, s=grid.shape)
-    return VelocityField(grid, u, v)
+    return VelocityField(grid, u, v, field.time_stamp)
 
 
 def sobolev_norm(field, order):

@@ -193,7 +193,7 @@ def test_criterion_7_isoperimetric_lemma():
     ok = True
     worst_margin = np.inf
     for eps in (0.0, 0.1):
-        mc = WeightedRegion(weight_exponent=eps, sample_count=200_000, seed=2025)
+        mc = WeightedRegion(sample_count=200_000, seed=2025)
         fields = [linear_reference_profile(eps)] + isoperimetric_family(100, eps, 2025)
         for ext in fields:
             res = isoperimetric_check(ext, eps, ISOPERIMETRIC_CONSTANT, mc)

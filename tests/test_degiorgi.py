@@ -16,7 +16,6 @@ from sqgdiag.degiorgi import (
     interpolate_extension,
     isoperimetric_check,
     isoperimetric_family,
-    isoperimetric_ratio,
     linear_reference_profile,
     local_energy_check,
     weighted_measure,
@@ -63,30 +62,25 @@ class TestWeightedMeasure:
         # the WeightedRegion invariant: doubling the sample count moves the
         # estimate by less than three combined standard errors
         ext = linear_reference_profile(0.1)
-        a = weighted_measure(ext, "between", 0.1, WeightedRegion(
-            weight_exponent=0.1, sample_count=100_000, seed=7))
-        b = weighted_measure(ext, "between", 0.1, WeightedRegion(
-            weight_exponent=0.1, sample_count=200_000, seed=7))
+        a = weighted_measure(ext, "between", 0.1, WeightedRegion(sample_count=100_000, seed=7))
+        b = weighted_measure(ext, "between", 0.1, WeightedRegion(sample_count=200_000, seed=7))
         assert abs(a[0] - b[0]) <= 3.0 * np.hypot(a[1], b[1])
 
     def test_bit_reproducible(self):
         ext = linear_reference_profile(0.1)
-        mc = WeightedRegion(weight_exponent=0.1, sample_count=100_000, seed=11)
+        mc = WeightedRegion(sample_count=100_000, seed=11)
         assert weighted_measure(ext, "le_zero", 0.1, mc) == weighted_measure(
             ext, "le_zero", 0.1, mc
         )
 
     def test_sample_plan_shared_and_read_only(self):
-        # the plan depends on region, count and seed only: regions that
-        # differ in the weight share one read-only array, equal to a fresh
-        # generation; 70 000 samples span two chunks
+        # the plan depends on count and seed only: equal regions share one
+        # read-only array, equal to a fresh generation; 70 000 samples span
+        # two chunks
         pts = WeightedRegion(sample_count=70_000, seed=12).sample_points()
-        again = WeightedRegion(weight_exponent=0.1, sample_count=70_000, seed=12)
-        assert again.sample_points() is pts
+        assert WeightedRegion(sample_count=70_000, seed=12).sample_points() is pts
         assert not pts.flags.writeable
-        assert np.array_equal(pts, _sample_plan.__wrapped__(1.0, 70_000, 12))
-        wide = WeightedRegion("half_ball_B2star", sample_count=70_000, seed=12)
-        assert np.max(np.hypot(*wide.sample_points()[:2])) > 1.0
+        assert np.array_equal(pts, _sample_plan.__wrapped__(70_000, 12))
 
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):
@@ -122,7 +116,7 @@ class TestIsoperimetric:
         flipped = ExtensionField(
             ext.base_grid, ext.z_levels, 1.0 - ext.values, ext.weight_exponent
         )
-        mc = WeightedRegion(weight_exponent=0.1, sample_count=200_000, seed=17)
+        mc = WeightedRegion(sample_count=200_000, seed=17)
         a = isoperimetric_check(ext, 0.1, 1.0, mc)
         b = isoperimetric_check(flipped, 0.1, 1.0, mc)
         tol = 3 * np.hypot(a.lhs_std_error, b.lhs_std_error)
@@ -131,7 +125,7 @@ class TestIsoperimetric:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_family_subset_with_frozen_constant(self, eps):
-        mc = WeightedRegion(weight_exponent=eps, sample_count=100_000, seed=19)
+        mc = WeightedRegion(sample_count=100_000, seed=19)
         fields = [linear_reference_profile(eps)] + isoperimetric_family(10, eps, 2025)
         for ext in fields:
             res = isoperimetric_check(ext, eps, ISOPERIMETRIC_CONSTANT, mc)
@@ -141,15 +135,27 @@ class TestIsoperimetric:
         # the binding family member is the linear profile; the frozen
         # constant must exceed what it requires
         mc = WeightedRegion(sample_count=200_000, seed=23)
-        ratio = isoperimetric_ratio(linear_reference_profile(0.0), 0.0, mc)
-        assert ratio < ISOPERIMETRIC_CONSTANT
+        res = isoperimetric_check(linear_reference_profile(0.0), 0.0, 1.0, mc)
+        assert res.lhs / res.rhs < ISOPERIMETRIC_CONSTANT
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_set_measures_equal_weighted_measure(self, eps):
+        # one set table and one estimator: the three set measures of the
+        # check are exactly weighted_measure's
+        ext = isoperimetric_family(1, eps, 2025)[0]
+        mc = WeightedRegion(sample_count=70_000, seed=29)
+        res = isoperimetric_check(ext, eps, ISOPERIMETRIC_CONSTANT, mc)
+        for name, predicate in (("low", "le_zero"), ("high", "ge_one"), ("strip", "between")):
+            assert res.measures[name] == weighted_measure(ext, predicate, eps, mc)
+        assert all(res.measures[name][0] > 0.0 for name in ("low", "high", "strip"))
 
 
-def trilinear_oracle(values, grid, zl, x1, x2, z, center):
+def trilinear_oracle(values, grid, zl, x1, x2, z):
     """Trilinear sampling with three-array indexing, one field at a time."""
     h, n = grid.spacing, grid.n
-    p1 = (x1 + center[0]) / h
-    p2 = (x2 + center[1]) / h
+    c = 0.5 * grid.side_length
+    p1 = (x1 + c) / h
+    p2 = (x2 + c) / h
     i0 = np.floor(p1).astype(int)
     j0 = np.floor(p2).astype(int)
     f1, f2 = p1 - i0, p2 - j0
@@ -171,8 +177,7 @@ def trilinear_oracle(values, grid, zl, x1, x2, z, center):
 
 
 class TestSharedTrilinearPlan:
-    @pytest.mark.parametrize("center", [None, (0.3, 1.7)])
-    def test_two_fields_on_one_plan_match_separate_calls(self, center):
+    def test_two_fields_on_one_plan_match_separate_calls(self):
         # points wrap the torus and leave the sampled z-range on both sides
         ext = isoperimetric_family(1, 0.1, 2025)[0]
         grad = extension_gradient_squared(clamp_unit(ext))
@@ -180,12 +185,11 @@ class TestSharedTrilinearPlan:
         rng = np.random.default_rng(41)
         x1, x2 = rng.uniform(-5.0, 5.0, (2, 5000))
         z = rng.uniform(-0.1, 1.3, 5000)
-        plan = _trilinear_plan(ext, x1, x2, z, center)
-        c = center or (2.0, 2.0)
+        plan = _trilinear_plan(ext, x1, x2, z)
         for values, field in ((ext.values, ext), (grad, grad_ext)):
             got = _trilinear(values, plan)
-            assert np.array_equal(got, interpolate_extension(field, x1, x2, z, center))
-            oracle = trilinear_oracle(values, ext.base_grid, ext.z_levels, x1, x2, z, c)
+            assert np.array_equal(got, interpolate_extension(field, x1, x2, z))
+            oracle = trilinear_oracle(values, ext.base_grid, ext.z_levels, x1, x2, z)
             assert np.array_equal(got, oracle)
 
     def test_isoperimetric_measures_unchanged(self):
@@ -246,5 +250,11 @@ class TestLocalEnergy:
 
     def test_time_grid_mismatch_rejected(self):
         exts, vels, cutoff = single_mode_extension_run(n=64, t_end=0.2, n_snap=3)
+        assert [v.time_stamp for v in vels] == [e.time_stamp for e in exts]
         with pytest.raises(ValueError, match="mismatch"):
             local_energy_check(exts, vels[:-1], cutoff, 0.0, 0.0, 0.2, 1.0)
+        # as many velocities as snapshots, but at t = 5, 6, 7
+        g = exts[0].base_grid
+        late = [riesz_velocity(ScalarField(g, np.zeros(g.shape), t)) for t in (5.0, 6.0, 7.0)]
+        with pytest.raises(ValueError, match="mismatch"):
+            local_energy_check(exts, late, cutoff, 0.0, 0.0, 0.2, 1.0)

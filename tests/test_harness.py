@@ -30,6 +30,7 @@ CONFIG_TEXT = st.text(
     max_size=12,
 )
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @pytest.fixture
@@ -80,6 +81,16 @@ t_end = 0.5
             ("n = abc", "config line 1: n: invalid literal for int"),
             ("n = 32\n\ndt = 1e", "config line 3: dt: could not convert"),
             ("seed = 1.5", "config line 1: seed"),
+            # out of range: the grid, the solver or the snapshot schedule
+            # would reject the value later
+            ("n = 48", "config line 1: n: grid size must be a positive power of two"),
+            ("n = 32\nalpha = 1.5", "config line 2: alpha: alpha must lie in"),
+            ("dt = -1", "config line 1: dt: dt must be positive"),
+            ("t_end = -1", "config line 1: t_end: .*t_end non-negative"),
+            ("dt = nan", "config line 1: dt: .*both finite"),
+            ("t_end = inf", "config line 1: t_end: .*both finite"),
+            ("side_length = -2", "config line 1: side_length: side_length must be positive"),
+            ("snapshot_interval = 0", "config line 1: snapshot_interval: .*must be positive"),
         ],
     )
     def test_bad_value_reported_with_number(self, text, message):
@@ -88,10 +99,13 @@ t_end = 0.5
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(-(2**40), 2**40),
+        n=st.integers(0, 40).map(lambda e: 2**e),
         seed=st.integers(0, 2**64 - 1),
         ic_k_max=st.integers(0, 64),
-        floats=st.tuples(FINITE, FINITE, FINITE, FINITE, FINITE, FINITE),
+        floats=st.tuples(
+            POSITIVE, st.floats(0.0, 1.0, exclude_min=True), POSITIVE,
+            st.floats(min_value=0.0, allow_infinity=False), FINITE, POSITIVE,
+        ),
         initial_condition=st.sampled_from(INITIAL_CONDITIONS),
         ic_file=CONFIG_TEXT,
         output_dir=CONFIG_TEXT,
@@ -109,6 +123,31 @@ t_end = 0.5
             output_dir=output_dir,
         )
         assert parse_config(cfg.to_text()) == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(-(2**40), 2**40),
+        floats=st.tuples(FINITE, FINITE, FINITE, FINITE, FINITE),
+    )
+    def test_out_of_range_values_named_by_line(self, n, floats):
+        # each value is accepted exactly when it lies in its range, and a
+        # rejected one is named with its key and line
+        side_length, alpha, dt, t_end, snapshot_interval = floats
+        cases = [
+            ("n", n, n > 0 and n & (n - 1) == 0),
+            ("side_length", side_length, side_length > 0),
+            ("alpha", alpha, 0 < alpha <= 1),
+            ("dt", dt, dt > 0),
+            ("t_end", t_end, t_end >= 0),
+            ("snapshot_interval", snapshot_interval, snapshot_interval > 0),
+        ]
+        for key, value, valid in cases:
+            text = f"seed = 3\n{key} = {value!r}\n"
+            if valid:
+                assert getattr(parse_config(text), key) == value
+            else:
+                with pytest.raises(ValueError, match=f"config line 2: {key}: "):
+                    parse_config(text)
 
     def test_echo_round_trip(self, config, tmp_path):
         _, report = simulate(config)

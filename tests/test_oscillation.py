@@ -181,7 +181,7 @@ class TestVelocitySplit:
         # that B_{2/rho} fits and the far region, hence w3, is non-empty
         for grid, rho in ((Grid(512, 20.0), 0.25), (Grid(1024, 80.0), 1.0 / 16.0)):
             c = (0.5 * grid.side_length, 0.5 * grid.side_length)
-            pts = _bound_sample_points(grid, c, 3, 8)
+            pts = _bound_sample_points(grid, c, 3)
             for i in range(3):
                 theta = admissible_field(grid, c, 0.1, [77, 3, i])
                 sp = VelocitySplit(theta, c, rho)
@@ -230,7 +230,7 @@ class TestVelocitySplit:
         c = (0.5 * side + offset[0], 0.5 * side + offset[1])
         theta = random_band_limited(g, 8, [seed, 0, 0])
         sp = VelocitySplit(theta, c, rho)
-        pts = _bound_sample_points(g, c, 3, 8)
+        pts = _bound_sample_points(g, c, 3)
         direct = np.array(
             [[np.hypot(*sp.w2(p)), np.hypot(*sp.w3(p))] for p in pts]
         )
