@@ -273,8 +273,7 @@ def linear_reference_profile(epsilon):
     """
     grid = Grid(128, 4.0)
     z_levels = np.linspace(0.0, 1.0, 33)
-    c = 0.5 * grid.side_length
-    d1, _ = grid.displacement((c, c))
+    d1, _ = grid.displacement(grid.center)
     vals = np.broadcast_to(2.0 * d1, (len(z_levels),) + grid.shape).copy()
     return ExtensionField(grid, z_levels, vals, epsilon)
 
@@ -295,8 +294,7 @@ class LocalEnergyResult:
 def velocity_local_norm(vel, alpha):
     """||w||_{L^(2n/alpha)(B_2)} on the grid (n = 2), B_2 at the domain centre."""
     grid = vel.grid
-    c = 0.5 * grid.side_length
-    d1, d2 = grid.displacement((c, c))
+    d1, d2 = grid.displacement(grid.center)
     inside = d1 * d1 + d2 * d2 < 4.0
     p = 4.0 / alpha
     speed = np.sqrt(vel.u**2 + vel.v**2)
@@ -312,14 +310,13 @@ def extension_cutoff(grid, z_levels):
     the gradient is bounded and continuous.  Returns an array shaped
     (n_z, n, n).
     """
-    c = 0.5 * grid.side_length
     r_flat, r_support = 1.0, 1.9
 
     def smooth(t):
         t = np.clip(t, 0.0, 1.0)
         return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
-    d1, d2 = grid.displacement((c, c))
+    d1, d2 = grid.displacement(grid.center)
     r = np.sqrt(d1 * d1 + d2 * d2)
     radial = smooth((r - r_flat) / (r_support - r_flat))
     z = np.asarray(z_levels, dtype=float)

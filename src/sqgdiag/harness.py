@@ -76,6 +76,10 @@ class RunConfig:
             raise ValueError("snapshot_interval must be positive")
         if self.initial_condition not in INITIAL_CONDITIONS:
             raise ValueError(f"unknown initial condition {self.initial_condition!r}")
+        if self.initial_condition == "file" and not self.ic_file:
+            raise ValueError("initial_condition = file needs an ic_file")
+        if self.ic_k_max < 1:
+            raise ValueError(f"ic_k_max must be at least 1, got {self.ic_k_max}")
         for d in self.diagnostics:
             if d not in DIAGNOSTIC_NAMES:
                 raise ValueError(f"unknown diagnostic {d!r}")
@@ -96,7 +100,9 @@ def parse_config(text):
     """Parse the flat key = value format back into a RunConfig.
 
     Each value is checked on its own line, against the defaults of the
-    other fields, so an error names the line that holds the bad value.
+    other fields, so an error names the line that holds the bad value.  The
+    one rule across fields (a file initial condition needs an ic_file) is
+    checked once every line is read.
     """
     field_types = {f.name: f.type for f in fields(RunConfig)}
     kwargs = {}
@@ -119,7 +125,8 @@ def parse_config(text):
             else:
                 convert = int if key in ("n", "seed", "ic_k_max") else float
                 kwargs[key] = convert(value)
-            RunConfig(**{key: kwargs[key]})
+            # ic_file stands in until its own line is read: the file rule waits
+            RunConfig(**{"ic_file": "-", key: kwargs[key]})
         except ValueError as exc:
             raise ValueError(f"config line {ln}: {key}: {exc}") from None
     return RunConfig(**kwargs)
@@ -258,7 +265,6 @@ def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
     t0 = time.perf_counter()
     history, alpha = load_checkpoints(paths, side_length=side_length)
     sections = []
-    center = (0.5 * side_length, 0.5 * side_length)
 
     if toggles:
         theta0 = history[0]
@@ -296,8 +302,8 @@ def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
                 except ValueError as exc:
                     sections.append({"name": name, "passed": False, "error": str(exc)})
             elif name == "tail":
-                constant = calibrate_tail_constant([history], [l2_initial], center)
-                series = tail_series(history, center, l2_initial, constant, alpha)
+                constant = calibrate_tail_constant([history], [l2_initial])
+                series = tail_series(history, l2_initial, constant, alpha)
                 sections.append(
                     {
                         "name": name,

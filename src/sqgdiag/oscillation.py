@@ -5,12 +5,12 @@ argument as measurable diagnostics on simulation output:
 
 * tail integrals of |theta| / |x|^2 outside the unit ball, with the decay
   bounds they must satisfy along a run;
-* parabolic cylinders Q_r = B_r x [0, r) x (t0 - r^alpha, t0] and the
+* parabolic cylinders Q_r = B_r x [0, r) x (1 - r^alpha, 1] and the
   oscillation of a field history over them (z = 0 slice; the solver evolves
   the boundary trace);
-* the three-piece truncated-kernel decomposition of the velocity around a
-  point (near field over B_2, annulus up to B_{2/rho}, recentred far field)
-  plus the constant far-field drift w_bar;
+* the three-piece truncated-kernel decomposition of the velocity (near
+  field over B_2, annulus up to B_{2/rho}, recentred far field) plus the
+  constant far-field drift w_bar;
 * the flow-following recentering ODE V' = M w_slow(V, t) integrated
   backward from V(t_end) = 0;
 * the zoom-recenter-renormalize step producing the next iterate
@@ -20,8 +20,11 @@ argument as measurable diagnostics on simulation output:
   iteration, measuring the per-step oscillation improvement eta and fitting
   an empirical decay exponent.
 
-All plane integrals are truncated at the fundamental-domain boundary
-(centered at the point of interest); the truncation radius is recorded.
+Every step is zoomed and recentred into one frame: balls about the domain
+centre (``Grid.center``) and time windows that end at t = 1, where
+normalize_window puts the end of the run.  All plane integrals are
+truncated at the boundary of the fundamental domain about that centre; the
+truncation radius is recorded.
 Near-singular kernel sums at grid nodes carry the lattice renormalization
 correction kappa * h * grad(theta), which removes the O(h) error of the
 punctured midpoint rule.
@@ -50,6 +53,7 @@ LATTICE_KAPPA = -1.9501313
 
 EDGE_MARGIN = 0.9  # fraction of the half-side inside which bounds are checked
 PER_RING_SAMPLES = 8  # grid nodes per ring at which the slow velocity is bounded
+TIME_TOL = 1e-12  # slack of the time-window rule, for relabelled stamps
 
 # Frozen output of calibrate_split_bound_constant: the single constant C
 # with sup_B1 |w2| <= -C log(rho) and sup_B1 |w3| <= C rho across the
@@ -62,11 +66,11 @@ def tail_truncation_radius(grid):
     return 0.5 * grid.side_length
 
 
-def tail_integral(theta, center):
-    """Quadrature of |theta(x)| / |x - center|^2 outside the unit ball.
+def tail_integral(theta):
+    """Quadrature of |theta(x)| / |x|^2 outside the unit ball.
 
-    The integral runs over the fundamental domain centered at ``center``
-    (minimal-image metric), i.e. it is truncated at tail_truncation_radius.
+    x is measured from the domain centre (minimal-image metric), so the
+    integral is truncated at tail_truncation_radius.
     """
     grid = theta.grid
     if tail_truncation_radius(grid) < 1.25:
@@ -74,7 +78,7 @@ def tail_integral(theta, center):
             "unit ball does not fit well inside the fundamental domain "
             f"(truncation radius {tail_truncation_radius(grid):.3f} < 1.25)"
         )
-    d1, d2 = grid.displacement(center)
+    d1, d2 = grid.displacement(grid.center)
     r2 = d1 * d1 + d2 * d2
     outside = r2 >= 1.0
     integrand = np.where(outside, np.abs(theta.values) / np.where(outside, r2, 1.0), 0.0)
@@ -96,7 +100,7 @@ class TailEstimate:
         return bool(ok)
 
 
-def calibrate_tail_constant(histories, l2_initials, center, calibration_time=0.1, safety=4.0):
+def calibrate_tail_constant(histories, l2_initials, calibration_time=0.1, safety=4.0):
     """Frozen tail constant: safety * worst ratio at the calibration time.
 
     histories: iterable of snapshot lists (each a run); the snapshot closest
@@ -106,11 +110,11 @@ def calibrate_tail_constant(histories, l2_initials, center, calibration_time=0.1
     for hist, l2i in zip(histories, l2_initials):
         times = np.array([f.time_stamp for f in hist])
         j = int(np.argmin(np.abs(times - calibration_time)))
-        worst = max(worst, tail_integral(hist[j], center) / l2i)
+        worst = max(worst, tail_integral(hist[j]) / l2i)
     return safety * worst
 
 
-def tail_series(history, center, l2_initial, constant, alpha):
+def tail_series(history, l2_initial, constant, alpha):
     """TailEstimate per snapshot with both lemma bounds attached.
 
     bound_basic = C ||theta_0||_L2 for all t; for t > 1 additionally
@@ -128,7 +132,7 @@ def tail_series(history, center, l2_initial, constant, alpha):
         out.append(
             TailEstimate(
                 time=t,
-                tail_value=tail_integral(f, center),
+                tail_value=tail_integral(f),
                 bound_basic=basic,
                 bound_improved=improved,
             )
@@ -138,10 +142,12 @@ def tail_series(history, center, l2_initial, constant, alpha):
 
 @dataclass(frozen=True)
 class ParabolicCylinder:
-    """B_r(center_x) x [0, r) x (center_t - r^alpha, center_t]."""
+    """Q_r = B_r x [0, r) x (1 - r^alpha, 1], B_r about the domain centre.
 
-    center_x: tuple
-    center_t: float
+    The iteration zooms and recentres every step into this one frame, so
+    the radius and the dissipation order fix the cylinder.
+    """
+
     radius: float
     alpha: float
 
@@ -151,19 +157,29 @@ class ParabolicCylinder:
 
     @property
     def t_start(self):
-        return self.center_t - self.radius**self.alpha
+        return 1.0 - self.radius**self.alpha
 
     def shrunk(self, factor):
         """Concentric cylinder with radius scaled by ``factor`` <= 1."""
-        return ParabolicCylinder(self.center_x, self.center_t, self.radius * factor, self.alpha)
+        return ParabolicCylinder(self.radius * factor, self.alpha)
 
-    def contains_time(self, t):
-        return (self.t_start < t + 1e-12) and (t <= self.center_t + 1e-12)
+    def window(self, history):
+        """The snapshots with t_start <= t <= 1, up to TIME_TOL."""
+        return [f for f in history if self.t_start - TIME_TOL < f.time_stamp <= 1.0 + TIME_TOL]
 
     def space_mask(self, grid, shift=(0.0, 0.0)):
-        cx = (self.center_x[0] + shift[0], self.center_x[1] + shift[1])
-        d1, d2 = grid.displacement(cx)
+        c = grid.center
+        d1, d2 = grid.displacement((c[0] + shift[0], c[1] + shift[1]))
         return d1 * d1 + d2 * d2 < self.radius**2
+
+
+def _extremes(arrays):
+    """(min, max) over the entries of a sequence of arrays."""
+    lo, hi = np.inf, -np.inf
+    for a in arrays:
+        lo = min(lo, float(a.min()))
+        hi = max(hi, float(a.max()))
+    return lo, hi
 
 
 def oscillation(history, cyl):
@@ -181,21 +197,14 @@ def oscillation(history, cyl):
             f"grid does not resolve the cylinder radius: {cyl.radius / grid.spacing:.1f} "
             "points across (need >= 8)"
         )
-    times = np.array([f.time_stamp for f in history])
-    if times[0] > cyl.t_start + 1e-9 or times[-1] < cyl.center_t - 1e-9:
+    if history[0].time_stamp > cyl.t_start + 1e-9 or history[-1].time_stamp < 1.0 - 1e-9:
         raise ValueError("history does not cover the cylinder's time interval")
-    inside = [i for i, t in enumerate(times) if cyl.contains_time(t) and t > cyl.t_start + 1e-12]
+    # Q_r is open at t_start: of the window's snapshots, drop the start slice
+    inside = [f for f in cyl.window(history) if f.time_stamp > cyl.t_start + TIME_TOL]
     if not inside:
         raise ValueError("no snapshots inside the cylinder's time interval")
-    vmax, vmin = -np.inf, np.inf
     mask = cyl.space_mask(grid)
-    for i in inside:
-        vals = history[i].values[mask]
-        if vals.size:
-            vmax = max(vmax, float(vals.max()))
-            vmin = min(vmin, float(vals.min()))
-    if not np.isfinite(vmax):
-        return 0.0
+    vmin, vmax = _extremes(f.values[mask] for f in inside)
     return vmax - vmin
 
 
@@ -237,32 +246,32 @@ def _kernel_spectrum(grid):
 
 @dataclass
 class VelocitySplit:
-    """Truncated-kernel decomposition of the velocity around a center.
+    """Truncated-kernel decomposition of the velocity about the domain centre.
 
     rho = None selects the first-step split (near field over B_2, slow
     component over everything outside B_2, no far recentred piece).  For
-    rho < 1, the pieces are: w1 over B_2(center), w2 over the annulus
-    B_{2/rho} minus B_2, w3 over the complement of B_{2/rho} with the kernel
-    recentred by its value at the center, and the constant w_bar.  Regions
-    are truncated at the fundamental-domain boundary; ``truncated`` flags
-    whether B_{2/rho} overflowed the domain, ``far_empty`` whether the far
-    region holds no node (then w3 and w_bar vanish identically).
+    rho < 1, the pieces are: w1 over B_2, w2 over the annulus B_{2/rho}
+    minus B_2, w3 over the complement of B_{2/rho} with the kernel recentred
+    by its value at the centre, and the constant w_bar.  The balls are about
+    ``Grid.center`` and truncated at the fundamental-domain boundary;
+    ``truncated`` flags whether B_{2/rho} overflowed the domain,
+    ``far_empty`` whether the far region holds no node (then w3 and w_bar
+    vanish identically).
 
     Off the grid, w2 and w3 are direct kernel sums.  At grid nodes the sum
-    over a region fixed around the center is the circular cross-correlation
+    over a region fixed about the centre is the circular cross-correlation
     of theta * 1_region with the lattice kernel, so sup_slow_components
     gets every node from one FFT correlation per region.
     """
 
     theta: ScalarField
-    center: tuple
     rho: float = None
 
     def __post_init__(self):
         if self.rho is not None and not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
         grid = self.theta.grid
-        d1c, d2c = grid.displacement(self.center)
+        d1c, d2c = grid.displacement(grid.center)
         r2 = d1c**2 + d2c**2
         self._inner = r2 < 4.0
         half = 0.5 * grid.side_length
@@ -316,7 +325,7 @@ class VelocitySplit:
         return _kernel_sum(self.theta.values, d1, d2, self._annulus, grid.spacing)
 
     def w3(self, point):
-        """Far piece with the kernel recentred at the split center."""
+        """Far piece with the kernel recentred at the domain centre."""
         if self.far_empty:
             return np.zeros(2)
         grid = self.theta.grid
@@ -353,14 +362,14 @@ class VelocitySplit:
         return s2, float(np.max(np.hypot(*w3.T)))
 
 
-def admissible_field(grid, center, delta, seed):
+def admissible_field(grid, delta, seed):
     """A member of the split-bound calibration family.
 
     Random band-limited field (band limit 12) clipped by the step-k growth
-    envelope: |theta| <= 1 inside B_1(center) and |theta| <= 2 |x|^(2 delta)
-    outside.
+    envelope about the domain centre: |theta| <= 1 inside B_1 and
+    |theta| <= 2 |x|^(2 delta) outside.
     """
-    d1, d2 = grid.displacement(center)
+    d1, d2 = grid.displacement(grid.center)
     r = np.hypot(d1, d2)
     envelope = np.minimum(1.0, 2.0 * np.maximum(r, 1e-9) ** (2.0 * delta))
     envelope[r <= 1.0] = 1.0
@@ -379,13 +388,12 @@ def calibrate_split_bound_constant():
     non-empty.
     """
     grid = Grid(1024, 40.0)
-    c = (0.5 * grid.side_length, 0.5 * grid.side_length)
-    pts = _bound_sample_points(grid, c, 3)
+    pts = _bound_sample_points(grid, 3)
     worst = 0.0
     for rho in (0.25, 0.125):
         for i in range(8):
-            theta = admissible_field(grid, c, 0.1, [77, 3, i])
-            sp = VelocitySplit(theta, c, rho)
+            theta = admissible_field(grid, 0.1, [77, 3, i])
+            sp = VelocitySplit(theta, rho)
             s2, s3 = sp.sup_slow_components(pts)
             worst = max(worst, s2 / (-np.log(rho)), s3 / rho)
     return worst
@@ -451,44 +459,40 @@ class RescaleOutcome:
     m: float
     M_next: float
     M_monotone: bool
-    edge_margin: float
-    checked_radius: float
 
 
-def rescale_recenter(history, cyl, path, m, rho, delta, M_k, epsilon):
+def rescale_recenter(history, cyl, path, m, delta, M_k):
     """Produce the next iterate on the same grid layout.
 
-    theta_next(x', t') = rho^(-delta) (theta(rho (x' - C) + center + V(tau),
-    tau) - m) with tau = center_t - rho^alpha (1 - t'), C the domain center
-    of the new frame.  Snapshots outside the time window are dropped; the
-    remaining stamps are relabeled affinely to (0, 1].  The decay-hypothesis
-    precondition and both outer bookkeeping bounds are measured on the
-    produced fields (never assumed); violations are reported as flags, not
-    exceptions.  The outer bound is checked up to EDGE_MARGIN of the window
-    half-side: the zoomed patch is re-declared periodic, so the outermost
-    rim carries interpolation mismatch and is excluded (flagged via
-    edge_margin).
+    With rho = cyl.radius and C the domain centre,
+    theta_next(x', t') = rho^(-delta) (theta(rho (x' - C) + C + V(tau), tau)
+    - m) with tau = 1 - rho^alpha (1 - t').  Snapshots outside cyl's time
+    window are dropped; the remaining stamps are relabeled affinely to
+    (0, 1].  The decay-hypothesis precondition and both outer bookkeeping
+    bounds are measured on the produced fields (never assumed); violations
+    are reported as flags, not exceptions.  The outer bound is checked up to
+    EDGE_MARGIN of the window half-side: the zoomed patch is re-declared
+    periodic, so the outermost rim carries interpolation mismatch and is
+    excluded.  M shrinks by rho^(delta - epsilon), epsilon = 1 - alpha.
     """
     if not history:
         raise ValueError("empty history")
     grid = history[0].grid
     n = grid.n
     L = grid.side_length
-    C = (0.5 * L, 0.5 * L)
-    alpha = cyl.alpha
-    rho_a = rho**alpha
+    C = grid.center
+    rho = cyl.radius
+    rho_a = rho**cyl.alpha
     scale = rho ** (-delta)
 
     new_history = []
-    for f in history:
+    for f in cyl.window(history):
         tau = f.time_stamp
-        if not (cyl.center_t - rho_a - 1e-12 < tau <= cyl.center_t + 1e-12):
-            continue
-        t_new = 1.0 - (cyl.center_t - tau) / rho_a
+        t_new = 1.0 - (1.0 - tau) / rho_a
         v = path.at(tau)
         offset = (
-            cyl.center_x[0] + v[0] - rho * C[0],
-            cyl.center_x[1] + v[1] - rho * C[1],
+            C[0] + v[0] - rho * C[0],
+            C[1] + v[1] - rho * C[1],
         )
         vals = evaluate_on_lattice(
             f, (offset[0], offset[1]), (rho * grid.spacing, rho * grid.spacing), (n, n)
@@ -509,7 +513,7 @@ def rescale_recenter(history, cyl, path, m, rho, delta, M_k, epsilon):
         envelope = 2.0 * r[outer] ** (2.0 * delta)
         worst_ratio = max(worst_ratio, float(np.max(np.abs(f.values[outer]) / envelope)))
 
-    M_next = rho ** (delta - epsilon) * M_k
+    M_next = rho ** (delta - (1.0 - cyl.alpha)) * M_k
     outcome = RescaleOutcome(
         hypothesis_ok=bool(max_inside <= 1.0 + 1e-9),
         outside_ok=bool(worst_ratio <= 1.0 + 1e-9),
@@ -518,8 +522,6 @@ def rescale_recenter(history, cyl, path, m, rho, delta, M_k, epsilon):
         m=float(m),
         M_next=float(M_next),
         M_monotone=bool(M_next <= M_k * (1.0 + 1e-12)),
-        edge_margin=EDGE_MARGIN,
-        checked_radius=float(check_radius),
     )
     return new_history, outcome
 
@@ -641,12 +643,14 @@ def iteration_snapshot_times(t_end, rho, alpha, steps, per_window=12):
     return np.array(sorted(times))
 
 
-def _bound_sample_points(grid, center, rings):
-    """Grid nodes near concentric rings in B_1(center), deduplicated.
+def _bound_sample_points(grid, rings):
+    """Grid nodes near concentric rings in B_1 about the domain centre.
 
-    PER_RING_SAMPLES nodes per ring, plus the node nearest the centre.
+    PER_RING_SAMPLES nodes per ring, plus the node nearest the centre,
+    deduplicated.
     """
     h = grid.spacing
+    center = grid.center
     pts = [
         (round(center[0] / h) * h % grid.side_length,
          round(center[1] / h) * h % grid.side_length)
@@ -663,34 +667,27 @@ def _bound_sample_points(grid, center, rings):
     return sorted(set(pts))
 
 
-def _window_splits(history, cyl, rho):
-    """VelocitySplit per snapshot in the flow window (t_start, center_t]."""
-    splits = {}
-    for i, f in enumerate(history):
-        if cyl.t_start - 1e-12 < f.time_stamp <= cyl.center_t + 1e-12:
-            splits[i] = VelocitySplit(f, cyl.center_x, rho)
-    return splits
+def _slow_evaluator(window, rho):
+    """One VelocitySplit per window snapshot, and the slow velocity.
 
-
-def _slow_evaluator(history, splits, center):
-    """Linear-in-time interpolation of the slow velocity between snapshots.
-
-    The returned callable takes the displacement from the split center (the
-    recentering ODE's unknown), not an absolute position.
+    The slow velocity is linear in time between snapshots; the returned
+    callable takes the displacement from the domain centre (the recentering
+    ODE's unknown), not an absolute position.
     """
-    idx = sorted(splits)
-    times = np.array([history[i].time_stamp for i in idx])
+    splits = [VelocitySplit(f, rho) for f in window]
+    times = np.array([f.time_stamp for f in window])
+    center = window[0].grid.center
 
     def w_slow(v, t):
         x = (center[0] + v[0], center[1] + v[1])
-        j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(idx) - 2))
+        j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(splits) - 2))
         t0, t1 = times[j], times[j + 1]
         lam = 0.0 if t1 == t0 else np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-        a = splits[idx[j]].slow(x)
-        b = splits[idx[j + 1]].slow(x)
+        a = splits[j].slow(x)
+        b = splits[j + 1].slow(x)
         return (1 - lam) * a + lam * b
 
-    return w_slow, [splits[i] for i in idx]
+    return w_slow, splits
 
 
 def run_iteration_suite(history, config):
@@ -701,25 +698,27 @@ def run_iteration_suite(history, config):
     (0, 1] (use normalize_window).  Each step measures the oscillation of
     the current iterate on Q_1 and Q_{1/2}, splits the velocity, bounds the
     slow components, solves the recentering ODE, verifies cylinder
-    containment, and rescales.  Any precondition failure ends the suite
-    with a structured report rather than an exception.
+    containment, and rescales.  A failure at a step (a frame that no longer
+    covers its cylinder, a bound that does not hold) ends the suite with a
+    structured report rather than an exception.
     """
     if not history:
         raise ValueError("empty history")
     grid = history[0].grid
-    L = grid.side_length
-    center = (0.5 * L, 0.5 * L)
-    times = np.array([f.time_stamp for f in history])
     sup_all = max(float(np.max(np.abs(f.values))) for f in history)
     if sup_all > 1.0 + 1e-9:
         raise ValueError(f"history is not normalized: sup|theta| = {sup_all:.3f} > 1")
-    tail0 = tail_integral(history[0], center)
+    tail0 = tail_integral(history[0])
     if tail0 > 1.0 + 1e-9:
         raise ValueError(f"tail at window start = {tail0:.3f} > 1")
 
     rho, alpha, M = config.rho, config.alpha, config.M
-    epsilon = 1.0 - alpha
-    sample_pts = _bound_sample_points(grid, center, config.bound_sample_rings)
+    sample_pts = _bound_sample_points(grid, config.bound_sample_rings)
+    q1 = ParabolicCylinder(1.0, alpha)
+    q_half = q1.shrunk(0.5)
+    flow_cyl = ParabolicCylinder(rho, alpha)
+    d1, d2 = grid.displacement(grid.center)
+    inside = d1 * d1 + d2 * d2 < 1.0
 
     records = []
     current = history
@@ -730,10 +729,12 @@ def run_iteration_suite(history, config):
     failure = ""
 
     for k in range(1, config.steps + 1):
-        q1 = ParabolicCylinder(center, 1.0, 1.0, alpha)
-        q_half = q1.shrunk(0.5)
-        osc_full = oscillation(current, q1)
-        osc_half = oscillation(current, q_half)
+        try:
+            osc_full = oscillation(current, q1)
+            osc_half = oscillation(current, q_half)
+        except ValueError as exc:
+            failure = f"{exc} at step {k}"
+            break
         if osc_full <= 1e-13:
             failure = f"degenerate success: zero oscillation at step {k}"
             break
@@ -746,13 +747,11 @@ def run_iteration_suite(history, config):
             delta = choose_delta(rho, eta_k)
 
         # velocity split over the flow window; step 1 uses the two-piece split
-        split_rho = None if k == 1 else rho
-        flow_cyl = ParabolicCylinder(center, 1.0, rho, alpha)
-        splits = _window_splits(current, flow_cyl, split_rho)
-        if not splits:
+        window = flow_cyl.window(current)
+        if not window:
             failure = f"no snapshots in the flow window at step {k}"
             break
-        w_slow, split_list = _slow_evaluator(current, splits, center)
+        w_slow, split_list = _slow_evaluator(window, None if k == 1 else rho)
         w2_sup = 0.0
         w3_sup = 0.0
         for sp in split_list:
@@ -761,36 +760,20 @@ def run_iteration_suite(history, config):
             w3_sup = max(w3_sup, s3)
 
         path = recenter_flow(
-            w_slow,
-            M_k,
-            t_start=1.0 - rho**alpha,
-            max_step=rho**alpha / config.ode_step_divisor,
+            w_slow, M_k, flow_cyl.t_start, max_step=rho**alpha / config.ode_step_divisor
         )
         containment_ok = path.max_abs + rho <= 0.5 + 1e-9
 
         # midrange over the recentered Q_{1/2}
-        sel = [
-            (i, f)
-            for i, f in enumerate(current)
-            if flow_cyl.t_start - 1e-12 < f.time_stamp <= 1.0 + 1e-12
-        ]
-        shifts = [tuple(path.at(f.time_stamp)) for _, f in sel]
-        vmax, vmin = -np.inf, np.inf
-        for (i, f), sh in zip(sel, shifts):
-            mask = q_half.space_mask(grid, sh)
-            vals = f.values[mask]
-            vmax = max(vmax, float(vals.max()))
-            vmin = min(vmin, float(vals.min()))
+        vmin, vmax = _extremes(
+            f.values[q_half.space_mask(grid, tuple(path.at(f.time_stamp)))] for f in window
+        )
         m = 0.5 * (vmax + vmin)
         m = float(np.clip(m, -1.0 + rho**delta, 1.0 - rho**delta))
 
-        new_history, outcome = rescale_recenter(
-            current, flow_cyl, path, m, rho, delta, M_k, epsilon
-        )
-        d1, d2 = grid.displacement(center)
-        inside = d1 * d1 + d2 * d2 < 1.0
-        new_max = max(float(f.values[inside].max()) for f in new_history)
-        new_min = min(float(f.values[inside].min()) for f in new_history)
+        new_history, outcome = rescale_recenter(current, flow_cyl, path, m, delta, M_k)
+        # over every produced slice, t' = 0 included
+        new_min, new_max = _extremes(f.values[inside] for f in new_history)
         produced_osc = new_max - new_min
         amplitude *= rho**delta
         records.append(
@@ -821,15 +804,11 @@ def run_iteration_suite(history, config):
         current = new_history
         M_k = outcome.M_next
 
-    if records:
+    slope = np.nan
+    if len(records) >= 2:
         ks = np.array([r.step_index for r in records], dtype=float)
         raws = np.array([max(r.raw_oscillation, 1e-300) for r in records])
-        if len(records) >= 2:
-            slope = np.polyfit(ks * np.log(rho), np.log(raws), 1)[0]
-        else:
-            slope = np.nan
-    else:
-        slope = np.nan
+        slope = np.polyfit(ks * np.log(rho), np.log(raws), 1)[0]
     return IterationResult(
         records=records,
         delta=float(delta) if delta is not None else np.nan,
@@ -852,12 +831,11 @@ def normalize_window(history, t_end=None):
     if t_end is None:
         t_end = history[-1].time_stamp
     grid = history[0].grid
-    center = (0.5 * grid.side_length, 0.5 * grid.side_length)
     window = [f for f in history if t_end - 1.0 - 1e-9 <= f.time_stamp <= t_end + 1e-9]
     if not window:
         raise ValueError("no snapshots in the unit window")
     sup = max(float(np.max(np.abs(f.values))) for f in window)
-    tail0 = tail_integral(window[0], center)
+    tail0 = tail_integral(window[0])
     s = max(sup, tail0, 1e-300)
     out = [
         ScalarField(grid, f.values / s, f.time_stamp - (t_end - 1.0))

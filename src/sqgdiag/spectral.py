@@ -11,7 +11,8 @@ diagnostics use for zooming and recentering.
 
 The underlying model domain is the plane; the torus is a computational
 substitute.  Plane-specific integrals elsewhere in the package are truncated
-at the fundamental-domain boundary, centered at the point of interest.
+at the boundary of the fundamental domain about the domain centre
+(``Grid.center``).
 
 Conventions
 -----------
@@ -73,6 +74,11 @@ class Grid:
     @property
     def shape(self):
         return (self.n, self.n)
+
+    @property
+    def center(self):
+        """The domain centre: the base point of every local check."""
+        return (0.5 * self.side_length, 0.5 * self.side_length)
 
     def coordinates(self):
         """Meshgrid (X1, X2) of node coordinates in [0, side_length)."""
@@ -348,6 +354,8 @@ def random_band_limited(grid, k_max_index, seed, amplitude=1.0, time_stamp=0.0):
     or a numpy SeedSequence-compatible list (the package derives sub-streams
     as [root_seed, purpose, counter]).
     """
+    if k_max_index < 1:
+        raise ValueError(f"k_max_index must be at least 1, got {k_max_index}")
     rng = np.random.default_rng(seed)
     k1, k2 = grid.wavevectors()
     unit = 2.0 * np.pi / grid.side_length

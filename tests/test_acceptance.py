@@ -139,20 +139,16 @@ def test_criterion_4_linf_decay(ensemble):
 
 
 def test_criterion_5_tail_lemma(ensemble):
-    center = (np.pi, np.pi)
     constant = calibrate_tail_constant(
         [e["result"].history for e in ensemble],
         [e["l2_initial"] for e in ensemble],
-        center,
         calibration_time=0.1,
     )
     ok = True
     worst_basic = 0.0
     worst_improved = 0.0
     for e in ensemble:
-        series = tail_series(
-            e["result"].history, center, e["l2_initial"], constant, e["alpha"]
-        )
+        series = tail_series(e["result"].history, e["l2_initial"], constant, e["alpha"])
         for est in series:
             ok = ok and est.passed
             worst_basic = max(worst_basic, est.tail_value / est.bound_basic)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sqgdiag.harness as harness_mod
 from sqgdiag.cli import main
@@ -91,6 +91,9 @@ t_end = 0.5
             ("t_end = inf", "config line 1: t_end: .*both finite"),
             ("side_length = -2", "config line 1: side_length: side_length must be positive"),
             ("snapshot_interval = 0", "config line 1: snapshot_interval: .*must be positive"),
+            # band limit 0 or below is the identically zero field
+            ("ic_k_max = 0", "config line 1: ic_k_max: ic_k_max must be at least 1"),
+            ("n = 32\nic_k_max = -3", "config line 2: ic_k_max: ic_k_max must be at least 1"),
         ],
     )
     def test_bad_value_reported_with_number(self, text, message):
@@ -101,7 +104,7 @@ t_end = 0.5
     @given(
         n=st.integers(0, 40).map(lambda e: 2**e),
         seed=st.integers(0, 2**64 - 1),
-        ic_k_max=st.integers(0, 64),
+        ic_k_max=st.integers(1, 64),
         floats=st.tuples(
             POSITIVE, st.floats(0.0, 1.0, exclude_min=True), POSITIVE,
             st.floats(min_value=0.0, allow_infinity=False), FINITE, POSITIVE,
@@ -115,6 +118,7 @@ t_end = 0.5
         self, n, seed, ic_k_max, floats, initial_condition, ic_file, output_dir, diagnostics,
     ):
         side_length, alpha, dt, t_end, ic_amplitude, snapshot_interval = floats
+        assume(initial_condition != "file" or ic_file)
         cfg = RunConfig(
             n=n, side_length=side_length, alpha=alpha, dt=dt, t_end=t_end, seed=seed,
             initial_condition=initial_condition, ic_k_max=ic_k_max,
@@ -163,6 +167,17 @@ t_end = 0.5
             RunConfig(initial_condition="gaussian")
         with pytest.raises(ValueError):
             RunConfig(diagnostics=("nope",))
+
+    def test_file_initial_condition_needs_ic_file(self):
+        with pytest.raises(ValueError, match="needs an ic_file"):
+            RunConfig(initial_condition="file")
+        with pytest.raises(ValueError, match="needs an ic_file"):
+            parse_config("n = 32\ninitial_condition = file\n")
+        # the rule waits for every line, so either key order works
+        for text in ("initial_condition = file\nic_file = a.sqgd",
+                     "ic_file = a.sqgd\ninitial_condition = file"):
+            cfg = parse_config(text)
+            assert (cfg.initial_condition, cfg.ic_file) == ("file", "a.sqgd")
 
 
 class TestSimulate:

@@ -51,6 +51,18 @@ class TestGrid:
         unit = 2 * np.pi / 4.0
         assert np.allclose(k1 / unit, np.round(k1 / unit))
 
+    def test_center_is_a_node_at_zero_displacement(self):
+        g = Grid(16, 3.0)
+        assert g.center == (1.5, 1.5)
+        d1, d2 = g.displacement(g.center)
+        assert np.count_nonzero((d1 == 0.0) & (d2 == 0.0)) == 1
+
+    def test_band_limit_below_one_rejected(self):
+        # k_max_index 0 or below would leave only the removed zero mode
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k_max_index"):
+                random_band_limited(Grid(16), k, 0)
+
     def test_displacement_minimal_image(self):
         g = Grid(16, 2 * np.pi)
         d1, d2 = g.displacement((0.0, 0.0))
