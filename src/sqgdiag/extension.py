@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 from scipy.integrate import solve_ivp
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .spectral import Grid, ScalarField, fractional_laplacian, half_spectrum
+from .spectral import Grid, ScalarField, fractional_laplacian, half_spectrum, irfft2, rfft2
 
 
 def extension_profile(s, epsilon):
@@ -167,7 +166,7 @@ def extend(theta, z_levels, epsilon):
     spec = rfft2(theta.values)
     values = np.empty((len(z_levels),) + grid.shape)
     for j, profile in enumerate(table):
-        values[j] = irfft2(spec * profile[index], s=grid.shape)
+        irfft2(spec * profile[index], out=values[j])
     ext = ExtensionField(grid, z_levels, values, epsilon, theta.time_stamp)
     defect = ext.max_principle_defect()
     if defect > 1e-10 * max(1.0, float(np.max(np.abs(theta.values)))):

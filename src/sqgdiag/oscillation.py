@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 
 from .constants import choose_delta
 from .spectral import (
@@ -44,7 +43,9 @@ from .spectral import (
     ScalarField,
     evaluate_on_lattice,
     gradient,
+    irfft2,
     random_band_limited,
+    rfft2,
 )
 
 # Finite part of the punctured lattice sum of u_i u_j / |u|^3 minus its
@@ -343,11 +344,10 @@ class VelocitySplit:
         kernel spectrum give the sum at every node; the kernel holds the
         antipodal offset at -L/2, as ``Grid.offsets`` does.
         """
-        grid = self.theta.grid
         spec = rfft2(np.where(region, self.theta.values, 0.0))
-        k1, k2 = _kernel_spectrum(grid)
-        c1 = irfft2(spec * np.conj(k1), s=grid.shape)
-        c2 = irfft2(spec * np.conj(k2), s=grid.shape)
+        k1, k2 = _kernel_spectrum(self.theta.grid)
+        c1 = irfft2(spec * np.conj(k1))
+        c2 = irfft2(spec * np.conj(k2))
         return np.array([(c1[ij], c2[ij]) for ij in map(self._node_index, points)])
 
     def sup_slow_components(self, points):

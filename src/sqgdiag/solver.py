@@ -8,10 +8,13 @@ Kassam-Trefethen contour quadrature).  The mean of theta is conserved
 exactly; initial data must be mean-zero.
 
 The integrator works on the rfft2 half spectrum through the grid's shared
-``spectral.half_spectrum`` operator (symbols, dealias mask, distinct radii).
-The dissipation symbol is radial, so the phi-function tables of a step size
-are evaluated once per distinct |k| (6801 radii for the 33 024 modes of a
-256^2 grid) and scattered onto the modes.
+``spectral.half_spectrum`` operator (symbols, dealias mask, distinct radii)
+and the ``spectral.rfft2``/``irfft2`` pair.  The dissipation symbol is
+radial, so the phi-function tables of a step size are evaluated once per
+distinct |k| (6801 radii for the 33 024 modes of a 256^2 grid) and
+scattered onto the modes.  Each solver allocates its work arrays once; a
+warm ETD-RK4 step then allocates only the new state, so its transforms
+take no page faults.
 
 Energy bookkeeping follows the level-set truncations theta_lambda =
 (theta - lambda)_+.  The audit checks, for every level and every ordered
@@ -35,14 +38,15 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 
 from .spectral import (
     Grid,
     ScalarField,
     half_spectrum,
+    irfft2,
     parseval_sum,
     require_mean_zero,
+    rfft2,
 )
 
 CFL_SAFETY = 0.5
@@ -106,10 +110,11 @@ def _phi_coefficients(z_flat, dt):
     for r in roots:
         z = z_flat + r
         ez = np.exp(z)
+        z3 = z**3
         acc["phi1_half"] += (np.exp(z / 2.0) - 1.0) / z
-        acc["f1"] += (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3
-        acc["f2"] += (2.0 + z + ez * (z - 2.0)) / z**3
-        acc["f3"] += (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3
+        acc["f1"] += (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3
+        acc["f2"] += (2.0 + z + ez * (z - 2.0)) / z3
+        acc["f3"] += (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3
         acc["phi1"] += (ez - 1.0) / z
         acc["phi2"] += (ez - z - 1.0) / z**2
     return {k: dt * (v / CONTOUR_POINTS).real for k, v in acc.items()}
@@ -119,9 +124,13 @@ class SqgSolver:
     """Pseudo-spectral SQG integrator on a fixed grid.
 
     Works internally on the rfft2 half-spectrum of the real state (the
-    Hermitian-redundant modes are never stored); stateless with respect to
-    the evolving field (all stepping methods take and return coefficient
-    arrays), so snapshots can be audited concurrently with further stepping.
+    Hermitian-redundant modes are never stored).  The solver owns its work
+    arrays: one complex scratch for the transforms, the physical fields of
+    the nonlinear term and the ETD-RK4 stage arrays, all allocated once and
+    reused on every step, so one solver steps one state at a time.  The
+    evolving field is not among them: stepping takes a coefficient array and
+    returns a fresh one, so snapshots can be audited concurrently with
+    further stepping.
     """
 
     def __init__(self, grid, config):
@@ -133,6 +142,13 @@ class SqgSolver:
         radii = self.op.radii
         self.rate = -(radii**config.alpha)
         self._coeff_cache = {}
+        half = self.op.magnitude.shape
+        self._scratch = np.empty(half, dtype=np.complex128)
+        self._u, self._v, self._tx, self._ty = (np.empty(grid.shape) for _ in range(4))
+        self._stage = {
+            name: np.empty(half, dtype=np.complex128)
+            for name in ("n0", "na", "nb", "nc", "e_that", "a", "b", "cc")
+        }
 
     def _coefficients(self, dt):
         key = float(dt)
@@ -145,54 +161,61 @@ class SqgSolver:
             self._coeff_cache[key] = {k: v[index] for k, v in tables.items()}
         return self._coeff_cache[key]
 
-    def nonlinear_spectral(self, that, record_speed=False):
+    def nonlinear_spectral(self, that, record_speed=False, out=None):
         """Spectral tendency of the advection term: -fft(w . grad theta).
 
-        With ``record_speed`` the maximum speed max|w| is kept for
-        ``cfl_bound``.
+        The result goes to ``out`` if given, else to a fresh array.  With
+        ``record_speed`` the maximum speed max|w| is kept for ``cfl_bound``.
         """
         op = self.op
-        shape = self.grid.shape
-        u = irfft2(op.riesz_u * that, s=shape)
-        v = irfft2(op.riesz_v * that, s=shape)
-        tx = irfft2(op.dx1 * that, s=shape)
-        ty = irfft2(op.dx2 * that, s=shape)
-        if record_speed:
-            speed_sq = u * u
-            speed_sq += v * v
-            self._last_max_speed = float(np.sqrt(speed_sq.max()))
+        scratch = self._scratch
+        u, v, tx, ty = self._u, self._v, self._tx, self._ty
+        irfft2(np.multiply(op.riesz_u, that, out=scratch), out=u)
+        irfft2(np.multiply(op.riesz_v, that, out=scratch), out=v)
+        irfft2(np.multiply(op.dx1, that, out=scratch), out=tx)
+        irfft2(np.multiply(op.dx2, that, out=scratch), out=ty)
         tx *= u
         ty *= v
         tx += ty
-        adv = rfft2(tx)
+        if record_speed:
+            u *= u
+            v *= v
+            u += v
+            self._last_max_speed = float(np.sqrt(u.max()))
+        adv = rfft2(tx, out=out)
         adv *= op.dealias
         adv[0, 0] = 0.0  # exact mean conservation
         return np.negative(adv, out=adv)
 
     def step_spectral(self, that, dt):
-        """One ETD step; the last stage records the speed for ``cfl_bound``."""
+        """One ETD step; the last stage records the speed for ``cfl_bound``.
+
+        Returns a fresh array; ETD-RK4 allocates nothing else.
+        """
         c = self._coefficients(dt)
-        n0 = self.nonlinear_spectral(that)
         if self.config.integrator == "etd_rk2":
+            n0 = self.nonlinear_spectral(that)
             a = c["exp_full"] * that + c["phi1"] * n0
             na = self.nonlinear_spectral(a, record_speed=True)
             return a + c["phi2"] * (na - n0)
         # in place, in the operation order of a = E/2 that + P/2 n0,
         # b = E/2 that + P/2 na, cc = E/2 a + P/2 (2 nb - n0) and
         # E that + f1 n0 + 2 f2 (na + nb) + f3 nc
-        e_that = c["exp_half"] * that
-        a = c["phi1_half"] * n0
+        w = self._stage
+        n0 = self.nonlinear_spectral(that, out=w["n0"])
+        e_that = np.multiply(c["exp_half"], that, out=w["e_that"])
+        a = np.multiply(c["phi1_half"], n0, out=w["a"])
         a += e_that
-        na = self.nonlinear_spectral(a)
-        b = c["phi1_half"] * na
+        na = self.nonlinear_spectral(a, out=w["na"])
+        b = np.multiply(c["phi1_half"], na, out=w["b"])
         b += e_that
-        nb = self.nonlinear_spectral(b)
-        cc = 2.0 * nb
+        nb = self.nonlinear_spectral(b, out=w["nb"])
+        cc = np.multiply(2.0, nb, out=w["cc"])
         cc -= n0
         cc *= c["phi1_half"]
         a *= c["exp_half"]
         cc += a
-        nc = self.nonlinear_spectral(cc, record_speed=True)
+        nc = self.nonlinear_spectral(cc, record_speed=True, out=w["nc"])
         out = c["exp_full"] * that
         n0 *= c["f1"]
         out += n0
@@ -251,6 +274,7 @@ def run(theta0, config, snapshot_times=None):
         targets = targets[1:]
 
     prev_max = max(linfs[0], 1e-300)
+    vals = np.empty(grid.shape)
     for target in targets:
         gap = target - t
         if gap <= 1e-14:
@@ -265,7 +289,9 @@ def run(theta0, config, snapshot_times=None):
                     f" at t={t:.6f}"
                 )
             t += dt_sub
-            vals = irfft2(that, s=grid.shape)
+            # irfft2 overwrites its input: invert a copy of the state
+            np.copyto(solver._scratch, that)
+            irfft2(solver._scratch, out=vals)
             cur_max = float(np.max(np.abs(vals)))
             if cur_max > BLOWUP_FACTOR * max(prev_max, 1e-12):
                 raise BlowUpError(
@@ -276,9 +302,9 @@ def run(theta0, config, snapshot_times=None):
             times.append(t)
             l2s.append(float(np.sqrt(np.sum(vals**2) * h2)))
             linfs.append(cur_max)
-        history.append(ScalarField(grid, vals, t))
+        history.append(ScalarField(grid, vals.copy(), t))
 
-    final = history[-1] if history else ScalarField(grid, irfft2(that, s=grid.shape), t)
+    final = history[-1] if history else ScalarField(grid, irfft2(that.copy()), t)
     return SimulationResult(
         history=history,
         final=final,

@@ -1,8 +1,9 @@
 """Periodic-grid Fourier infrastructure.
 
 Everything downstream (solver, extension, diagnostics) is built on a square
-doubly-periodic grid.  This module owns the grid bookkeeping, the cached
-per-grid half-spectrum operator (``half_spectrum``) that holds every
+doubly-periodic grid.  This module owns the grid bookkeeping, the
+package's one half-spectrum transform pair (``rfft2``/``irfft2``), the
+cached per-grid half-spectrum operator (``half_spectrum``) that holds every
 Fourier symbol of the package, the multipliers and norms built on it
 (fractional Laplacian, Riesz velocity, gradient, homogeneous Sobolev
 norms, Parseval sums), and band-limited evaluation of a gridded field at
@@ -17,11 +18,11 @@ at the boundary of the fundamental domain about the domain centre
 Conventions
 -----------
 * values[i, j] = f(x1, x2) with x1 = i * spacing, x2 = j * spacing.
-* Spectral coefficients are the raw ``scipy.fft.rfft2`` half spectrum
+* Spectral coefficients are the raw ``spectral.rfft2`` half spectrum
   (unnormalized forward transform): row i carries k1 in FFT order (the
   k1-Nyquist row i = n/2 at k1 = -pi n / L), column j carries
   k2 = 2 pi j / L for j = 0 .. n/2.  Multipliers act as
-  ``irfft2(symbol * rfft2(f), s=(n, n))``.
+  ``irfft2(symbol * rfft2(f))``.
 * Odd symbols (i k_j and the Riesz symbols) are anti-Hermitian on their own
   Nyquist line, where a real field has no derivative to give; they are
   zeroed there: ``dx1`` and ``riesz_v`` on the k1-Nyquist row, ``dx2`` and
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 from scipy.signal import czt
 
 # relative size (against max(|f|, 1)) of the mean that Riesz velocities and
@@ -117,10 +117,36 @@ class Grid:
         return np.broadcast_to(d1, self.shape), np.broadcast_to(d2, self.shape)
 
 
+def rfft2(values, out=None):
+    """Half spectrum of an (n, n) real array: r2c along axis 1, then c2c
+    along axis 0 in place.
+
+    Bit-identical to ``scipy.fft.rfft2`` (numpy.fft runs the same pocketfft
+    code).  With ``out`` (complex, (n, n // 2 + 1)) nothing is allocated
+    and ``out`` is returned.
+    """
+    out = np.fft.rfft(values, axis=1, out=out)
+    return np.fft.fft(out, axis=0, out=out)
+
+
+def irfft2(spec, out=None):
+    """Real (n, n) array of a half spectrum: c2c along axis 0, then c2r
+    along axis 1.
+
+    ``spec`` is the workspace of the complex pass and is overwritten; pass
+    a copy (or a temporary such as ``symbol * spec``) to keep it.  With
+    ``out`` (real, (n, n)) nothing is allocated and ``out`` is returned.
+    Bit-identical to ``scipy.fft.irfft2(spec, s=(n, n))`` for n a power of
+    two.
+    """
+    np.fft.ifft(spec, axis=0, out=spec)
+    return np.fft.irfft(spec, spec.shape[0], axis=1, out=out)
+
+
 class HalfSpectrum:
     """Read-only Fourier symbols of one Grid on the rfft2 half spectrum.
 
-    Layout of ``scipy.fft.rfft2`` of an (n, n) real array: rows carry the
+    Layout of ``rfft2`` of an (n, n) real array: rows carry the
     line ``k1`` (FFT order), columns the line ``k2`` = 0 .. n/2.  Holds
     ``magnitude`` |k|; its distinct values ``radii`` (ascending, radii[0] =
     0) with ``radii[radius_index] == magnitude``, so radial multipliers are
@@ -253,7 +279,7 @@ def fractional_laplacian(field, order):
         raise ValueError(f"order must lie in (0, 2), got {order}")
     grid = field.grid
     symbol = half_spectrum(grid).radial_power(order)
-    values = irfft2(symbol * rfft2(field.values), s=grid.shape)
+    values = irfft2(symbol * rfft2(field.values))
     return ScalarField(grid, values, field.time_stamp)
 
 
@@ -263,8 +289,8 @@ def riesz_velocity(field):
     grid = field.grid
     op = half_spectrum(grid)
     spec = rfft2(field.values)
-    u = irfft2(op.riesz_u * spec, s=grid.shape)
-    v = irfft2(op.riesz_v * spec, s=grid.shape)
+    u = irfft2(op.riesz_u * spec)
+    v = irfft2(op.riesz_v * spec)
     return VelocityField(grid, u, v, field.time_stamp)
 
 
@@ -289,7 +315,7 @@ def gradient(field):
     grid = field.grid
     op = half_spectrum(grid)
     spec = rfft2(field.values)
-    return irfft2(op.dx1 * spec, s=grid.shape), irfft2(op.dx2 * spec, s=grid.shape)
+    return irfft2(op.dx1 * spec), irfft2(op.dx2 * spec)
 
 
 def _signed_coefficients_1d(c, axis):

@@ -1,5 +1,7 @@
 """Solver: exact dissipation, advection, energy bookkeeping, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -272,6 +274,52 @@ class TestOperatorPath:
         assert np.array_equal(out.history[1].values, irfft2(that, s=grid.shape))
         assert out.linf_norms[5] == np.max(np.abs(out.history[1].values))
         assert out.final is out.history[-1]
+
+
+class TestWorkspace:
+    """The work arrays a solver allocates once and reuses on every step."""
+
+    @staticmethod
+    def work_arrays(solver):
+        return [solver._scratch, solver._u, solver._v, solver._tx, solver._ty,
+                *solver._stage.values()]
+
+    def test_warm_steps_allocate_only_the_new_state(self):
+        g = Grid(256)
+        solver = SqgSolver(g, SolverConfig(alpha=0.95, dt=4e-3, t_end=1.0))
+        that = rfft2(random_band_limited(g, 8, [29, 0, 0]).values)
+        that = solver.step_spectral(that, 4e-3)  # builds the phi tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                that = solver.step_spectral(that, 4e-3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * that.nbytes
+
+    @pytest.mark.parametrize("integrator", ["etd_rk2", "etd_rk4"])
+    def test_step_outputs_share_no_memory(self, grid, integrator):
+        cfg = SolverConfig(alpha=0.95, dt=1e-2, t_end=1.0, integrator=integrator)
+        solver = SqgSolver(grid, cfg)
+        that = rfft2(random_band_limited(grid, 6, [30, 0, 0]).values)
+        first = solver.step_spectral(that, cfg.dt)
+        second = solver.step_spectral(first, cfg.dt)
+        assert not np.shares_memory(first, second)
+        for out in (first, second):
+            assert not np.shares_memory(out, that)
+            assert not any(np.shares_memory(out, w) for w in self.work_arrays(solver))
+
+    def test_run_snapshots_share_no_memory(self, grid):
+        theta = random_band_limited(grid, 6, [31, 0, 0])
+        cfg = SolverConfig(alpha=0.95, dt=1e-2, t_end=0.1)
+        history = run(theta, cfg, snapshot_times=np.linspace(0.0, 0.1, 6)).history
+        assert len(history) == 6
+        for i, a in enumerate(history):
+            assert not np.shares_memory(a.values, theta.values)
+            for b in history[i + 1 :]:
+                assert not np.shares_memory(a.values, b.values)
 
 
 class TestTruncateLevel:

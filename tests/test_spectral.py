@@ -1,11 +1,16 @@
 """Spectral core: the half-spectrum operator, multipliers, norms, resampling."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import irfft2, rfft2
 
 import full_spectrum as fs
+import sqgdiag
+from sqgdiag import spectral
 from sqgdiag.spectral import (
     Grid,
     RIESZ_KERNEL_CONSTANT,
@@ -139,6 +144,42 @@ class TestTransforms:
         flipped = np.roll(spec[::-1], 1, axis=0)  # row -k1
         for col in (0, grid.n // 2):
             assert np.max(np.abs(flipped[:, col] - np.conj(spec[:, col]))) < 1e-9
+
+
+class TestTransformPair:
+    """spectral.rfft2/irfft2 against scipy.fft, and the package's imports."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([32, 64, 128, 256, 512]), seed=st.integers(0, 2**16))
+    def test_bit_identical_to_scipy(self, n, seed):
+        x = fs.white_noise(Grid(n), seed)
+        spec = rfft2(x)
+        assert np.array_equal(spectral.rfft2(x), spec)
+        assert np.array_equal(spectral.irfft2(spec.copy()), irfft2(spec))
+
+    def test_out_is_returned(self, grid):
+        x = fs.white_noise(grid, seed=3)
+        spec_out = np.empty((grid.n, grid.n // 2 + 1), dtype=np.complex128)
+        assert spectral.rfft2(x, out=spec_out) is spec_out
+        values_out = np.empty(grid.shape)
+        assert spectral.irfft2(spec_out.copy(), out=values_out) is values_out
+        assert np.array_equal(values_out, irfft2(spec_out))
+
+    def test_no_module_imports_scipy_fft(self):
+        # every half-spectrum transform goes through the spectral pair
+        offenders = []
+        for path in sorted(Path(sqgdiag.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                    names += [f"{node.module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(n == "scipy.fft" or n.startswith("scipy.fft.") for n in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestFractionalLaplacian:
