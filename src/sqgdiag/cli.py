@@ -5,8 +5,9 @@ The level-set energy audit is ``diagnose --checks energy_audit``.  Every
 subcommand but constants takes --out <dir> and --format json|csv; simulate,
 extension-check and isoperimetric also take --seed <u64>, and simulate
 takes --config <path>.  The environment variable SQG_NO_COLOR disables ANSI
-colors in the per-check pass/fail lines.  Exit status is nonzero iff an
-enabled check fails.
+colors in the per-check pass/fail lines.  Exit status is 1 iff an
+enabled check fails, and 2 for unusable input (a bad config, checkpoint,
+path or argument value), reported as one ``error:`` line on stderr.
 """
 
 import argparse
@@ -99,11 +100,17 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args):
     if args.command == "simulate":
         if not args.config:
-            print("simulate requires --config", file=sys.stderr)
-            return 2
+            raise ValueError("simulate requires --config")
         config = load_config(args.config)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
@@ -121,11 +128,7 @@ def main(argv=None):
 
     if args.command == "diagnose":
         toggles = [t for t in args.checks.split(",") if t]
-        try:
-            report = diagnose(args.checkpoints, toggles, side_length=args.side_length)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = diagnose(args.checkpoints, toggles, side_length=args.side_length)
         return _emit_report(report, args.out, args.format)
 
     if args.command == "constants":

@@ -52,7 +52,7 @@ INITIAL_CONDITIONS = ("single_mode", "random_band_limited", "file")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One simulation plus its enabled diagnostics."""
+    """One simulation: grid, solver, initial condition, snapshots, output."""
 
     n: int = 64
     side_length: float = 2.0 * np.pi
@@ -65,7 +65,6 @@ class RunConfig:
     ic_amplitude: float = 1.0
     ic_file: str = ""
     snapshot_interval: float = 0.1
-    diagnostics: tuple = ()
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -80,17 +79,17 @@ class RunConfig:
             raise ValueError("initial_condition = file needs an ic_file")
         if self.ic_k_max < 1:
             raise ValueError(f"ic_k_max must be at least 1, got {self.ic_k_max}")
-        for d in self.diagnostics:
-            if d not in DIAGNOSTIC_NAMES:
-                raise ValueError(f"unknown diagnostic {d!r}")
+        # zero is the identically zero field, on which every check passes
+        if not (np.isfinite(self.ic_amplitude) and self.ic_amplitude != 0):
+            raise ValueError(
+                f"ic_amplitude must be finite and nonzero, got {self.ic_amplitude!r}"
+            )
 
     def to_text(self):
         lines = ["# sqgdiag run configuration"]
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name == "diagnostics":
-                v = ",".join(v)
-            elif isinstance(v, float):
+            if isinstance(v, float):
                 v = repr(v)
             lines.append(f"{f.name} = {v}")
         return "\n".join(lines) + "\n"
@@ -100,12 +99,13 @@ def parse_config(text):
     """Parse the flat key = value format back into a RunConfig.
 
     Each value is checked on its own line, against the defaults of the
-    other fields, so an error names the line that holds the bad value.  The
-    one rule across fields (a file initial condition needs an ic_file) is
-    checked once every line is read.
+    other fields, so an error names the line that holds the bad value.  A
+    key may be set once.  The one rule across fields (a file initial
+    condition needs an ic_file) is checked once every line is read.
     """
     field_types = {f.name: f.type for f in fields(RunConfig)}
     kwargs = {}
+    set_on = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,10 +117,11 @@ def parse_config(text):
         value = value.strip()
         if key not in field_types:
             raise ValueError(f"config line {ln}: unknown key {key!r}")
+        if key in set_on:
+            raise ValueError(f"config line {ln}: {key}: already set on line {set_on[key]}")
+        set_on[key] = ln
         try:
-            if key == "diagnostics":
-                kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key in ("initial_condition", "ic_file", "output_dir"):
+            if key in ("initial_condition", "ic_file", "output_dir"):
                 kwargs[key] = value
             else:
                 convert = int if key in ("n", "seed", "ic_k_max") else float
@@ -172,18 +173,6 @@ class RunReport:
         )
 
 
-def _config_echo(config):
-    d = asdict(config)
-    d["diagnostics"] = list(config.diagnostics)
-    return d
-
-
-def echo_to_config(echo):
-    d = dict(echo)
-    d["diagnostics"] = tuple(d.get("diagnostics", ()))
-    return RunConfig(**d)
-
-
 def snapshot_schedule(config):
     k = int(np.floor(config.t_end / config.snapshot_interval + 1e-9))
     times = [i * config.snapshot_interval for i in range(k + 1)]
@@ -218,7 +207,7 @@ def simulate(config, out_dir=None):
             fh.write(f"{t!r},{a!r},{b!r}\n")
 
     report = RunReport(
-        config_echo=_config_echo(config),
+        config_echo=asdict(config),
         sections=[
             {
                 "name": "simulation",
@@ -317,7 +306,7 @@ def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
 
     passed = all(s["passed"] for s in sections)
     report = RunReport(
-        config_echo=_config_echo(config) if config else {},
+        config_echo=asdict(config) if config else {},
         sections=sections,
         timings={"diagnose_seconds": time.perf_counter() - t0},
         passed=passed,

@@ -38,6 +38,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d
 
 from .spectral import (
     Grid,
@@ -248,22 +249,30 @@ def run(theta0, config, snapshot_times=None):
     """Integrate from theta0 to t_end, saving snapshots at requested times.
 
     Snapshot times are hit exactly: each gap is covered with uniform
-    sub-steps no longer than config.dt.  Per-step L2 and L-infinity norms
-    are recorded for the decay diagnostics.  Deterministic for fixed input.
+    sub-steps no longer than config.dt.  A requested time outside
+    [theta0.time_stamp, t_end], beyond 1e-9 max(1, t_end) of rounding, is a
+    ValueError.  Per-step L2 and L-infinity norms are recorded for the
+    decay diagnostics.  Deterministic for fixed input.
     """
     require_mean_zero(theta0, "the solver")
     grid = theta0.grid
     solver = SqgSolver(grid, config)
     h2 = grid.spacing**2
+    t = float(theta0.time_stamp)
 
     if snapshot_times is None:
         snapshot_times = [config.t_end]
-    targets = sorted(set(float(t) for t in snapshot_times))
+    targets = sorted(set(float(s) for s in snapshot_times))
+    slack = 1e-9 * max(1.0, config.t_end)
+    for target in targets:
+        if not t - slack <= target <= config.t_end + slack:
+            raise ValueError(
+                f"snapshot time {target!r} lies outside the run [{t!r}, {config.t_end!r}]"
+            )
     if targets and targets[-1] < config.t_end:
         targets.append(config.t_end)
 
     that = rfft2(theta0.values)
-    t = float(theta0.time_stamp)
     times = [t]
     l2s = [float(np.sqrt(np.sum(theta0.values**2) * h2))]
     linfs = [float(np.max(np.abs(theta0.values)))]
@@ -426,14 +435,7 @@ def audit_energy(history, levels, alpha):
             g = hdot[i]
             gprime = np.gradient(g, dt, edge_order=2)
             variation = np.abs(np.diff(gprime))
-            smeared = variation.copy()
-            for shift in (-2, -1, 1, 2):
-                rolled = np.zeros_like(variation)
-                if shift > 0:
-                    rolled[shift:] = variation[:-shift]
-                else:
-                    rolled[:shift] = variation[-shift:]
-                smeared = np.maximum(smeared, rolled)
+            smeared = maximum_filter1d(variation, size=5, mode="constant")
             g_panel = np.maximum(np.maximum(g[:-1], g[1:]), 1e-300)
             slope_panel = np.maximum(np.abs(gprime[:-1]), np.abs(gprime[1:]))
             model_floor = slope_panel**2 * dt / g_panel

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sqgdiag.harness as harness_mod
 from sqgdiag.cli import main
@@ -15,14 +15,14 @@ from sqgdiag.harness import (
     INITIAL_CONDITIONS,
     RunConfig,
     diagnose,
-    echo_to_config,
     extension_report,
     load_config,
     parse_config,
     simulate,
+    snapshot_schedule,
 )
-from sqgdiag.solver import audit_energy, check_l2_monotone, read_checkpoint
-from sqgdiag.spectral import Grid, ScalarField, l2_norm
+from sqgdiag.solver import SolverConfig, audit_energy, check_l2_monotone, read_checkpoint, run
+from sqgdiag.spectral import Grid, ScalarField, evaluate_on_lattice, l2_norm
 
 # config text values: no comment marker, line break or whitespace
 CONFIG_TEXT = st.text(
@@ -44,7 +44,6 @@ def config(tmp_path):
         initial_condition="random_band_limited",
         ic_k_max=4,
         snapshot_interval=0.05,
-        diagnostics=("l2_monotone", "energy_audit"),
         output_dir=str(tmp_path / "out"),
     )
 
@@ -67,9 +66,14 @@ t_end = 0.5
 
     def test_unknown_key_rejected(self):
         # includes keys that older config files may still set
-        for key in ("resolution = 64", "dealias = true", "integrator = etd_rk4"):
+        for key in ("resolution = 64", "dealias = true", "integrator = etd_rk4",
+                    "diagnostics = l2_monotone,tail"):
             with pytest.raises(ValueError, match="config line 2: unknown key"):
                 parse_config(f"n = 32\n{key}\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="config line 3: n: already set on line 1"):
+            parse_config("n = 64\nalpha = 0.95\nn = 128\n")
 
     def test_bad_line_reported_with_number(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -94,6 +98,11 @@ t_end = 0.5
             # band limit 0 or below is the identically zero field
             ("ic_k_max = 0", "config line 1: ic_k_max: ic_k_max must be at least 1"),
             ("n = 32\nic_k_max = -3", "config line 2: ic_k_max: ic_k_max must be at least 1"),
+            # amplitude 0 is the zero field too; a non-finite one fails
+            # only later, in simulate
+            ("ic_amplitude = 0", "config line 1: ic_amplitude: .*finite and nonzero"),
+            ("ic_amplitude = nan", "config line 1: ic_amplitude: .*finite and nonzero"),
+            ("n = 32\nic_amplitude = -inf", "config line 2: ic_amplitude: .*finite and nonzero"),
         ],
     )
     def test_bad_value_reported_with_number(self, text, message):
@@ -107,15 +116,14 @@ t_end = 0.5
         ic_k_max=st.integers(1, 64),
         floats=st.tuples(
             POSITIVE, st.floats(0.0, 1.0, exclude_min=True), POSITIVE,
-            st.floats(min_value=0.0, allow_infinity=False), FINITE, POSITIVE,
+            st.floats(min_value=0.0, allow_infinity=False), FINITE.filter(bool), POSITIVE,
         ),
         initial_condition=st.sampled_from(INITIAL_CONDITIONS),
         ic_file=CONFIG_TEXT,
         output_dir=CONFIG_TEXT,
-        diagnostics=st.lists(st.sampled_from(DIAGNOSTIC_NAMES), max_size=4),
     )
     def test_text_round_trip_property(
-        self, n, seed, ic_k_max, floats, initial_condition, ic_file, output_dir, diagnostics,
+        self, n, seed, ic_k_max, floats, initial_condition, ic_file, output_dir,
     ):
         side_length, alpha, dt, t_end, ic_amplitude, snapshot_interval = floats
         assume(initial_condition != "file" or ic_file)
@@ -123,8 +131,7 @@ t_end = 0.5
             n=n, side_length=side_length, alpha=alpha, dt=dt, t_end=t_end, seed=seed,
             initial_condition=initial_condition, ic_k_max=ic_k_max,
             ic_amplitude=ic_amplitude, ic_file=ic_file,
-            snapshot_interval=snapshot_interval, diagnostics=tuple(diagnostics),
-            output_dir=output_dir,
+            snapshot_interval=snapshot_interval, output_dir=output_dir,
         )
         assert parse_config(cfg.to_text()) == cfg
 
@@ -155,7 +162,8 @@ t_end = 0.5
 
     def test_echo_round_trip(self, config, tmp_path):
         _, report = simulate(config)
-        assert echo_to_config(report.config_echo) == config
+        assert RunConfig(**report.config_echo) == config
+        assert RunConfig(**json.loads(report.to_json())["config"]) == config
 
     def test_file_round_trip(self, config, tmp_path):
         path = tmp_path / "run.cfg"
@@ -165,8 +173,9 @@ t_end = 0.5
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(initial_condition="gaussian")
-        with pytest.raises(ValueError):
-            RunConfig(diagnostics=("nope",))
+        for amplitude in (0.0, -0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                RunConfig(ic_amplitude=amplitude)
 
     def test_file_initial_condition_needs_ic_file(self):
         with pytest.raises(ValueError, match="needs an ic_file"):
@@ -238,6 +247,18 @@ class TestSimulate:
         first = open(os.path.join(config.output_dir, "series.csv")).readline()
         assert first.strip() == "time,l2_norm,linf_norm"
 
+    @settings(max_examples=60, deadline=None)
+    @example(t_end=0.3, interval=0.1)  # last time 0.30000000000000004
+    @given(t_end=st.floats(0.0, 10.0), interval=st.floats(1e-3, 10.0))
+    def test_snapshot_schedule_accepted_by_run(self, t_end, interval):
+        # the schedule's +1e-9 floor can put its last time a few ulps past
+        # t_end; run must take every time it lists
+        assume(t_end / interval <= 200)
+        cfg = RunConfig(n=8, dt=max(t_end, 1.0), t_end=t_end, snapshot_interval=interval)
+        times = snapshot_schedule(cfg)
+        zero = ScalarField(Grid(8), np.zeros((8, 8)))
+        run(zero, SolverConfig(cfg.alpha, cfg.dt, cfg.t_end), snapshot_times=times)
+
 
 class TestDiagnose:
     def test_empty_toggles(self, config):
@@ -245,7 +266,7 @@ class TestDiagnose:
         report = diagnose(paths, [], config=config)
         assert report.passed
         assert report.sections == []
-        assert echo_to_config(report.config_echo) == config
+        assert RunConfig(**report.config_echo) == config
 
     def test_full_toggles_pass(self, tmp_path):
         # multi-mode data so the L-infinity decay fit sees the dissipative
@@ -396,6 +417,25 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate"], "simulate requires --config"),
+            (["simulate", "--config", "{tmp}/bad.cfg"], "config line 1: n: grid size"),
+            (["diagnose", "{tmp}/missing.sqgd"], "No such file"),
+            (["isoperimetric", "--samples", "0"], "sample_count must be positive"),
+            (["extension-check", "--n", "48"], "grid size"),
+        ],
+    )
+    def test_unusable_input_exits_2(self, argv, message, tmp_path, capsys):
+        # exit 1 means a check failed; bad input is 2 with one error line
+        (tmp_path / "bad.cfg").write_text("n = 48\n")
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_extension_check_subcommand(self, capsys, monkeypatch):
         monkeypatch.setenv("SQG_NO_COLOR", "1")
         code = main(["extension-check", "--epsilons", "0.0,0.1", "--format", "csv"])
@@ -428,4 +468,8 @@ def test_no_full_spectrum_transforms_outside_random_band_limited(tmp_path, monke
     assert [s["name"] for s in report.sections] == list(DIAGNOSTIC_NAMES)
     ext = extension_report(epsilons=(0.0, 0.1), n=32)
     assert len(ext.sections) == 2
+    theta = read_checkpoint(paths[-1])[0]
+    g = theta.grid
+    zoom = evaluate_on_lattice(theta, g.center, (g.spacing / 16, g.spacing / 16), g.shape)
+    assert zoom.shape == g.shape
     assert calls == [("ifft2", "random_band_limited")] * 3

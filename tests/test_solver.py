@@ -275,6 +275,18 @@ class TestOperatorPath:
         assert out.linf_norms[5] == np.max(np.abs(out.history[1].values))
         assert out.final is out.history[-1]
 
+    @pytest.mark.parametrize("times,bad", [([0.05, 0.5], "0.5"), ([-1.0, 0.05], "-1.0")])
+    def test_snapshot_times_outside_the_run_rejected(self, grid, times, bad):
+        # a time past t_end would integrate past it; one before the start
+        # would be dropped
+        theta = random_band_limited(grid, 4, [30, 0, 0])
+        cfg = SolverConfig(alpha=1.0, dt=1e-2, t_end=0.1)
+        with pytest.raises(ValueError, match=f"snapshot time {bad} lies outside"):
+            run(theta, cfg, snapshot_times=times)
+        late = ScalarField(grid, theta.values, time_stamp=0.2)
+        with pytest.raises(ValueError, match="snapshot time 0.1 lies outside"):
+            run(late, cfg)
+
 
 class TestWorkspace:
     """The work arrays a solver allocates once and reuses on every step."""

@@ -50,12 +50,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0)
 
-    def test_wavevectors_are_integer_multiples(self):
-        g = Grid(16, 4.0)
-        k1, _ = g.wavevectors()
-        unit = 2 * np.pi / 4.0
-        assert np.allclose(k1 / unit, np.round(k1 / unit))
-
     def test_center_is_a_node_at_zero_displacement(self):
         g = Grid(16, 3.0)
         assert g.center == (1.5, 1.5)
@@ -448,6 +442,23 @@ class TestDealias:
         assert np.max(np.abs(full.real - self.dealiased(grid, values))) < 1e-13
 
 
+def direct_lattice_sum(grid, values, origin, step, shape):
+    """The trigonometric interpolant summed term by term at every lattice
+    point; a Nyquist mode enters as cos(k x), its real band-limited form."""
+    n = grid.n
+    c = np.fft.fft2(values) / n**2
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+
+    def basis(x):
+        e = np.exp(1j * np.multiply.outer(x, k))
+        e[..., n // 2] = np.cos(x * k[n // 2])
+        return e
+
+    x1 = origin[0] + step[0] * np.arange(shape[0])
+    x2 = origin[1] + step[1] * np.arange(shape[1])
+    return (basis(x1) @ c @ basis(x2).T).real
+
+
 class TestResampling:
     def test_lattice_evaluation_reproduces_grid(self, grid):
         f = random_field(grid, seed=12)
@@ -482,24 +493,27 @@ class TestResampling:
         shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
     )
     def test_lattice_evaluation_matches_direct_sum(self, n, side, seed, origin, step, shape):
-        # direct trigonometric sum of the interpolant at every lattice point;
-        # a Nyquist mode enters as cos(k x), its real band-limited form
         g = Grid(n, side)
         values = fs.white_noise(g, seed)
-        c = np.fft.fft2(values) / n**2
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing)
-
-        def basis(x):
-            e = np.exp(1j * np.multiply.outer(x, k))
-            e[..., n // 2] = np.cos(x * k[n // 2])
-            return e
-
-        x1 = origin[0] + step[0] * np.arange(shape[0])
-        x2 = origin[1] + step[1] * np.arange(shape[1])
-        direct = np.einsum("pa,ab,qb->pq", basis(x1), c, basis(x2)).real
+        direct = direct_lattice_sum(g, values, origin, step, shape)
         out = evaluate_on_lattice(ScalarField(g, values), origin, step, shape)
         assert out.shape == shape
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_zoom_lattice_matches_direct_sum_at_production_size(self, n):
+        # the oscillation zoom: spacing h/16 on an n x n lattice about the
+        # domain centre.  Both Nyquist lines and every mode are populated,
+        # so chirp rounding shows here as it cannot at n <= 16 (a plain
+        # czt chirp on the half spectrum gives ~5e-13)
+        g = Grid(n, 4.0 * np.pi)
+        values = fs.white_noise(g, n)
+        c1, c2 = g.center
+        origin = (c1 * (1.0 - 1.0 / 16.0) + 0.013, c2 * (1.0 - 1.0 / 16.0) - 0.021)
+        step = (g.spacing / 16.0, g.spacing / 16.0)
+        direct = direct_lattice_sum(g, values, origin, step, g.shape)
+        out = evaluate_on_lattice(ScalarField(g, values), origin, step, g.shape)
+        assert np.max(np.abs(out - direct)) <= 2e-13 * np.max(np.abs(values))
 
     def test_gradient_single_mode(self, grid, coords):
         x1, x2 = coords
