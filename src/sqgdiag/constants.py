@@ -49,9 +49,10 @@ def rho_feasible(rho, L, C, alpha):
 def choose_rho(L, C, alpha):
     """Largest rho on a dyadic-bisection grid satisfying all three bounds.
 
-    Monotone: increasing L or C never increases the result.  Infeasibility
-    (no rho above RHO_FLOOR) cannot occur for finite non-negative L, C but
-    is guarded anyway.
+    Monotone: increasing L or C never increases the result.  When even
+    rho = RHO_FLOOR violates a bound, which takes a large L or C (at
+    alpha = 0.95, L or C = 1e15), no rho is feasible and
+    InfeasibleConstants is raised.
     """
     if L < 0 or C < 0:
         raise ValueError("L and C must be non-negative")
@@ -116,15 +117,6 @@ def verify_closing_inequality(rho, delta):
         chain_holds=bool(chain),
         passed=bool(chain and majorant < 1.0),
     )
-
-
-LEDGER_CONSTRAINTS = (
-    "first_step_containment",  # L rho^alpha + rho <= 1/2
-    "flow_containment",  # -C rho^a log rho + C rho^(1+a) + rho <= 1/2
-    "rho_cap",  # rho <= 1/16
-    "oscillation_floor",  # rho^delta >= max(1 - eta, 2/3)
-    "amplitude_cap",  # rho^(-delta) <= 2
-)
 
 
 @dataclass

@@ -198,7 +198,8 @@ class IsoperimetricResult:
     lhs_std_error: float
     rhs_std_error: float
     measures: dict
-    passed: bool
+    margin: float  # rhs + 3 combined standard errors - lhs
+    passed: bool  # margin >= 0
 
 
 def isoperimetric_check(ext, eps, constant_C, mc):
@@ -207,7 +208,8 @@ def isoperimetric_check(ext, eps, constant_C, mc):
     The field is clamped to [0, 1] before the gradient is taken.  All four
     integrals share one sample set (common random numbers), which makes the
     w -> 1 - w swap invariance exact up to rounding.  Pass criterion:
-    lhs <= C * rhs + 3 combined standard errors.
+    margin = rhs + 3 combined standard errors - lhs >= 0, where rhs carries
+    the constant C.
     """
     clamped = clamp_unit(ext)
     grad_sq = extension_gradient_squared(clamped)
@@ -235,14 +237,15 @@ def isoperimetric_check(ext, eps, constant_C, mc):
         )
     else:
         rhs_se = 0.0
-    combined = np.hypot(lhs_se, rhs_se)
+    margin = rhs + 3.0 * np.hypot(lhs_se, rhs_se) - lhs
     return IsoperimetricResult(
         lhs=lhs,
         rhs=rhs,
         lhs_std_error=lhs_se,
         rhs_std_error=rhs_se,
         measures=measures,
-        passed=bool(lhs <= rhs + 3.0 * combined),
+        margin=margin,
+        passed=bool(margin >= 0.0),
     )
 
 

@@ -357,10 +357,7 @@ def isoperimetric_report(count=20, seed=2025, samples=100_000):
                 "passed": bool(all(r.passed for r in results)),
                 "constant": ISOPERIMETRIC_CONSTANT,
                 "family_size": len(results),
-                "worst_margin": min(
-                    r.rhs + 3 * np.hypot(r.lhs_std_error, r.rhs_std_error) - r.lhs
-                    for r in results
-                ),
+                "worst_margin": min(r.margin for r in results),
             }
         )
     return RunReport(

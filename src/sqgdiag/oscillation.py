@@ -8,9 +8,9 @@ argument as measurable diagnostics on simulation output:
 * parabolic cylinders Q_r = B_r x [0, r) x (1 - r^alpha, 1] and the
   oscillation of a field history over them (z = 0 slice; the solver evolves
   the boundary trace);
-* the three-piece truncated-kernel decomposition of the velocity (near
-  field over B_2, annulus up to B_{2/rho}, recentred far field) plus the
-  constant far-field drift w_bar;
+* the slow pieces of the truncated-kernel velocity split (annulus from
+  B_2 to B_{2/rho}, recentred far field) plus the constant far-field drift
+  w_bar; the near field over B_2 is not evaluated;
 * the flow-following recentering ODE V' = M w_slow(V, t) integrated
   backward from V(t_end) = 0;
 * the zoom-recenter-renormalize step producing the next iterate
@@ -18,16 +18,14 @@ argument as measurable diagnostics on simulation output:
   with all bookkeeping bounds re-checked rather than assumed;
 * a Hoelder seminorm estimator and the driver that runs the whole
   iteration, measuring the per-step oscillation improvement eta and fitting
-  an empirical decay exponent.
+  an empirical decay exponent; it stops at the first bookkeeping bound that
+  fails, and ``IterationResult.passed`` is its one verdict.
 
 Every step is zoomed and recentred into one frame: balls about the domain
 centre (``Grid.center``) and time windows that end at t = 1, where
 normalize_window puts the end of the run.  All plane integrals are
 truncated at the boundary of the fundamental domain about that centre; the
 truncation radius is recorded.
-Near-singular kernel sums at grid nodes carry the lattice renormalization
-correction kappa * h * grad(theta), which removes the O(h) error of the
-punctured midpoint rule.
 """
 
 import json
@@ -42,15 +40,10 @@ from .spectral import (
     RIESZ_KERNEL_CONSTANT,
     ScalarField,
     evaluate_on_lattice,
-    gradient,
     irfft2,
     random_band_limited,
     rfft2,
 )
-
-# Finite part of the punctured lattice sum of u_i u_j / |u|^3 minus its
-# continuum integral (Epstein-zeta regularization, Gaussian cutoff).
-LATTICE_KAPPA = -1.9501313
 
 EDGE_MARGIN = 0.9  # fraction of the half-side inside which bounds are checked
 PER_RING_SAMPLES = 8  # grid nodes per ring at which the slow velocity is bounded
@@ -249,15 +242,15 @@ def _kernel_spectrum(grid):
 class VelocitySplit:
     """Truncated-kernel decomposition of the velocity about the domain centre.
 
-    rho = None selects the first-step split (near field over B_2, slow
-    component over everything outside B_2, no far recentred piece).  For
-    rho < 1, the pieces are: w1 over B_2, w2 over the annulus B_{2/rho}
-    minus B_2, w3 over the complement of B_{2/rho} with the kernel recentred
-    by its value at the centre, and the constant w_bar.  The balls are about
-    ``Grid.center`` and truncated at the fundamental-domain boundary;
-    ``truncated`` flags whether B_{2/rho} overflowed the domain,
-    ``far_empty`` whether the far region holds no node (then w3 and w_bar
-    vanish identically).
+    Only the slow pieces are evaluated; the near field over B_2 is not.
+    rho = None selects the first-step split (w2 over everything outside
+    B_2, no far recentred piece).  For rho < 1, the pieces are: w2 over the
+    annulus B_{2/rho} minus B_2, w3 over the complement of B_{2/rho} with
+    the kernel recentred by its value at the centre, and the constant
+    w_bar.  The balls are about ``Grid.center`` and truncated at the
+    fundamental-domain boundary; ``truncated`` flags whether B_{2/rho}
+    overflowed the domain, ``far_empty`` whether the far region holds no
+    node (then w3 and w_bar vanish identically).
 
     Off the grid, w2 and w3 are direct kernel sums.  At grid nodes the sum
     over a region fixed about the centre is the circular cross-correlation
@@ -274,27 +267,21 @@ class VelocitySplit:
         grid = self.theta.grid
         d1c, d2c = grid.displacement(grid.center)
         r2 = d1c**2 + d2c**2
-        self._inner = r2 < 4.0
+        outside_b2 = r2 >= 4.0
         half = 0.5 * grid.side_length
         if self.rho is None:
-            self._annulus = ~self._inner
-            self._far = np.zeros_like(self._inner)
+            self._annulus = outside_b2
+            self._far = np.zeros_like(outside_b2)
             self.truncated = half < 4.0
         else:
             r_far = 2.0 / self.rho
-            self._annulus = (~self._inner) & (r2 < r_far**2)
+            self._annulus = outside_b2 & (r2 < r_far**2)
             self._far = r2 >= r_far**2
             self.truncated = r_far > half
         self.far_empty = not self._far.any()
         self.w_bar = np.zeros(2)
         if not self.far_empty:
             self.w_bar = _kernel_sum(self.theta.values, d1c, d2c, self._far, grid.spacing)
-        self._grad = None
-
-    def _gradient_at_node(self, i, j):
-        if self._grad is None:
-            self._grad = gradient(self.theta)
-        return self._grad[0][i, j], self._grad[1][i, j]
 
     def _node_index(self, point):
         grid = self.theta.grid
@@ -305,20 +292,8 @@ class VelocitySplit:
         d1 = (i * h - point[0] + 0.5 * L) % L - 0.5 * L
         d2 = (j * h - point[1] + 0.5 * L) % L - 0.5 * L
         if abs(d1) > 1e-6 * h or abs(d2) > 1e-6 * h:
-            raise ValueError("near-field evaluation requires grid-node targets")
+            raise ValueError("node sums require grid-node targets")
         return i, j
-
-    def w1(self, point):
-        """Near-field piece at a grid node, with the lattice correction."""
-        grid = self.theta.grid
-        i, j = self._node_index(point)
-        d1, d2 = grid.displacement(point)
-        out = _kernel_sum(self.theta.values, d1, d2, self._inner, grid.spacing)
-        g1, g2 = self._gradient_at_node(i, j)
-        corr = RIESZ_KERNEL_CONSTANT * LATTICE_KAPPA * grid.spacing
-        out[0] -= corr * (-g2)
-        out[1] -= corr * g1
-        return out
 
     def w2(self, point):
         grid = self.theta.grid
@@ -456,7 +431,6 @@ class RescaleOutcome:
     outside_ok: bool  # |theta_{k+1}| <= 2 |x|^(2 delta) for 1 < |x| <= margin
     max_inside: float  # sup |theta_{k+1}| over Q_1
     worst_outside_ratio: float  # sup over 1 < |x| of |theta_{k+1}| / (2 |x|^(2 delta))
-    m: float
     M_next: float
     M_monotone: bool
 
@@ -519,7 +493,6 @@ def rescale_recenter(history, cyl, path, m, delta, M_k):
         outside_ok=bool(worst_ratio <= 1.0 + 1e-9),
         max_inside=max_inside,
         worst_outside_ratio=worst_ratio,
-        m=float(m),
         M_next=float(M_next),
         M_monotone=bool(M_next <= M_k * (1.0 + 1e-12)),
     )
@@ -614,6 +587,11 @@ class IterationConfig:
     ode_step_divisor: int = 64
     bound_sample_rings: int = 3
 
+    def __post_init__(self):
+        # with no step, the verdict would hold vacuously
+        if self.steps < 1:
+            raise ValueError("steps must be at least 1")
+
 
 @dataclass
 class IterationResult:
@@ -622,7 +600,12 @@ class IterationResult:
     eta_min: float
     fitted_decay_exponent: float
     completed_steps: int
-    failure: str = ""
+    failure: str = ""  # the first failure; every early stop sets it
+
+    @property
+    def passed(self):
+        """The iteration's verdict: every step ran and every bound held."""
+        return self.failure == ""
 
     def report_lines(self):
         return [r.to_json() for r in self.records]
@@ -698,9 +681,13 @@ def run_iteration_suite(history, config):
     (0, 1] (use normalize_window).  Each step measures the oscillation of
     the current iterate on Q_1 and Q_{1/2}, splits the velocity, bounds the
     slow components, solves the recentering ODE, verifies cylinder
-    containment, and rescales.  A failure at a step (a frame that no longer
-    covers its cylinder, a bound that does not hold) ends the suite with a
-    structured report rather than an exception.
+    containment, and rescales.  Each step's four bookkeeping bounds are
+    judged in order (decay hypothesis, cylinder containment, outer bound,
+    M monotone); the first that fails ends the suite with
+    ``failure = "<bound> failed at step k"``, after the step's record.  A
+    frame that no longer covers its cylinder also ends it, with a
+    structured failure rather than an exception.  ``passed`` on the result
+    is the verdict.
     """
     if not history:
         raise ValueError("empty history")
@@ -795,11 +782,15 @@ def run_iteration_suite(history, config):
                 far_empty=all(sp.far_empty for sp in split_list),
             )
         )
-        if not outcome.hypothesis_ok:
-            failure = f"decay hypothesis |theta - m| <= rho^delta failed at step {k}"
-            break
-        if not containment_ok:
-            failure = f"cylinder containment failed at step {k}"
+        flags = (
+            ("decay hypothesis |theta - m| <= rho^delta", outcome.hypothesis_ok),
+            ("cylinder containment", containment_ok),
+            ("outer bound |theta| <= 2 |x|^(2 delta)", outcome.outside_ok),
+            ("M monotone", outcome.M_monotone),
+        )
+        failed = [name for name, ok in flags if not ok]
+        if failed:
+            failure = f"{failed[0]} failed at step {k}"
             break
         current = new_history
         M_k = outcome.M_next

@@ -251,8 +251,10 @@ def run(theta0, config, snapshot_times=None):
     Snapshot times are hit exactly: each gap is covered with uniform
     sub-steps no longer than config.dt.  A requested time outside
     [theta0.time_stamp, t_end], beyond 1e-9 max(1, t_end) of rounding, is a
-    ValueError.  Per-step L2 and L-infinity norms are recorded for the
-    decay diagnostics.  Deterministic for fixed input.
+    ValueError, and so is an empty request; a time within that rounding
+    below the start stores the initial field.  ``final`` is the last
+    snapshot.  Per-step L2 and L-infinity norms are recorded for the decay
+    diagnostics.  Deterministic for fixed input.
     """
     require_mean_zero(theta0, "the solver")
     grid = theta0.grid
@@ -263,13 +265,15 @@ def run(theta0, config, snapshot_times=None):
     if snapshot_times is None:
         snapshot_times = [config.t_end]
     targets = sorted(set(float(s) for s in snapshot_times))
+    if not targets:
+        raise ValueError("no snapshot time requested")
     slack = 1e-9 * max(1.0, config.t_end)
     for target in targets:
         if not t - slack <= target <= config.t_end + slack:
             raise ValueError(
                 f"snapshot time {target!r} lies outside the run [{t!r}, {config.t_end!r}]"
             )
-    if targets and targets[-1] < config.t_end:
+    if targets[-1] < config.t_end:
         targets.append(config.t_end)
 
     that = rfft2(theta0.values)
@@ -277,7 +281,7 @@ def run(theta0, config, snapshot_times=None):
     l2s = [float(np.sqrt(np.sum(theta0.values**2) * h2))]
     linfs = [float(np.max(np.abs(theta0.values)))]
     history = []
-    if targets and abs(targets[0] - t) < 1e-12:
+    if targets[0] - t < 1e-12:
         # store the initial snapshot verbatim (no transform round trip)
         history.append(ScalarField(grid, theta0.values.copy(), t))
         targets = targets[1:]
@@ -313,10 +317,9 @@ def run(theta0, config, snapshot_times=None):
             linfs.append(cur_max)
         history.append(ScalarField(grid, vals.copy(), t))
 
-    final = history[-1] if history else ScalarField(grid, irfft2(that.copy()), t)
     return SimulationResult(
         history=history,
-        final=final,
+        final=history[-1],
         times=np.asarray(times),
         l2_norms=np.asarray(l2s),
         linf_norms=np.asarray(linfs),

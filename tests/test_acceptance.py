@@ -279,7 +279,6 @@ def test_criterion_10_iteration_suite():
     alpha, rho, steps = 0.95, 1.0 / 16.0, 4
     t_end = 1.25
     sched = iteration_snapshot_times(t_end, rho, alpha, steps=steps, per_window=12)
-    sched = np.concatenate([[t_end - 1.0], sched[sched > t_end - 1.0]])
     res = run(
         theta0, SolverConfig(alpha=alpha, dt=4e-3, t_end=t_end), snapshot_times=sched
     )
@@ -289,13 +288,7 @@ def test_criterion_10_iteration_suite():
     )
     elapsed = time.perf_counter() - start
 
-    ok = outcome.completed_steps == steps and outcome.failure == ""
-    for rec in outcome.records:
-        ok = ok and rec.containment_ok
-        ok = ok and rec.bounds.hypothesis_ok
-        ok = ok and rec.bounds.outside_ok
-        ok = ok and rec.bounds.M_monotone
-    ok = ok and outcome.fitted_decay_exponent > 0.0
+    ok = outcome.passed and outcome.fitted_decay_exponent > 0.0
     ok = ok and elapsed < 300.0
     # the measured constants keep the ledger's rho choice consistent
     w2_step1 = outcome.records[0].w2_sup * M
@@ -307,7 +300,8 @@ def test_criterion_10_iteration_suite():
     report(
         10,
         ok,
-        f"{outcome.completed_steps}/4 steps, all bookkeeping bounds hold, "
+        f"{outcome.completed_steps}/4 steps, "
+        f"verdict {'passed' if outcome.passed else repr(outcome.failure)}, "
         f"delta'={outcome.fitted_decay_exponent:.3f} > 0, eta_min={outcome.eta_min:.3f}, "
         f"runtime {elapsed:.0f}s (< 300s)",
     )

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from sqgdiag.constants import (
     InfeasibleConstants,
     RHO_CAP,
+    RHO_FLOOR,
     build_ledger,
     choose_delta,
     choose_rho,
@@ -52,6 +53,13 @@ class TestChooseRho:
             choose_rho(-1.0, 0.0, 0.9)
         with pytest.raises(ValueError):
             choose_rho(0.0, 0.0, 1.5)
+
+    @pytest.mark.parametrize("L,C", [(1e15, 0.0), (0.0, 1e15)])
+    def test_huge_constant_infeasible(self, L, C):
+        # even rho = RHO_FLOOR breaks a containment bound
+        assert not rho_feasible(RHO_FLOOR, L, C, 0.95)
+        with pytest.raises(InfeasibleConstants, match="no feasible rho"):
+            choose_rho(L, C, 0.95)
 
 
 class TestChooseDelta:

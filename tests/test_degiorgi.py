@@ -138,6 +138,23 @@ class TestIsoperimetric:
         res = isoperimetric_check(linear_reference_profile(0.0), 0.0, 1.0, mc)
         assert res.lhs / res.rhs < ISOPERIMETRIC_CONSTANT
 
+    def test_margin_is_the_verdict(self):
+        # passed reads the margin rhs + 3 combined SE - lhs; a constant at
+        # half the binding profile's measured ratio lhs / rhs fails
+        ext = linear_reference_profile(0.0)
+        mc = WeightedRegion(sample_count=200_000, seed=23)
+        unit = isoperimetric_check(ext, 0.0, 1.0, mc)
+        results = [
+            isoperimetric_check(ext, 0.0, constant, mc)
+            for constant in (ISOPERIMETRIC_CONSTANT, 0.5 * unit.lhs / unit.rhs)
+        ]
+        for res in results:
+            combined = np.hypot(res.lhs_std_error, res.rhs_std_error)
+            assert res.margin == res.rhs + 3 * combined - res.lhs
+            assert res.passed == (res.lhs <= res.rhs + 3 * combined)
+        assert results[0].passed and results[0].margin > 0
+        assert not results[1].passed and results[1].margin < 0
+
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_set_measures_equal_weighted_measure(self, eps):
         # one set table and one estimator: the three set measures of the

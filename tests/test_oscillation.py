@@ -1,5 +1,7 @@
 """Tails, cylinders, velocity splits, flow recentering, the iteration."""
 
+import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -28,6 +30,9 @@ from sqgdiag.oscillation import (
 )
 from sqgdiag.solver import SolverConfig, run
 from sqgdiag.spectral import Grid, ScalarField, random_band_limited, riesz_velocity
+
+# the package re-exports the function ``oscillation`` under the module's name
+oscillation_module = importlib.import_module("sqgdiag.oscillation")
 
 
 class TestTailIntegral:
@@ -163,37 +168,39 @@ class TestVelocitySplit:
         assert np.allclose(sp.w2(node), 0.0)
         assert np.allclose(sp.w3(node), 0.0)
         assert np.allclose(sp.w_bar, 0.0)
-        assert np.max(np.abs(sp.w1(node))) > 0.0
 
     def test_sum_matches_spectral_oracle(self):
-        # compact theta on a large torus: periodization images are tiny and
-        # the three pieces plus w_bar reassemble the spectral velocity
+        # theta supported in 2.5 < |x| < 6 on a large torus: the near field
+        # over B_2 vanishes at B_1 nodes, periodization images are small,
+        # and the slow pieces plus w_bar reassemble the spectral velocity
         L, N = 16 * np.pi, 512
         g = Grid(N, L)
-        c = (L / 2, L / 2)
-        d1, d2 = g.displacement(c)
-        r2 = d1**2 + d2**2
-        R = 6.0
+        d1, d2 = g.displacement(g.center)
+        r = np.hypot(d1, d2)
+        mid, half = 4.25, 1.75
         env = np.zeros(g.shape)
-        m = r2 < R * R
-        env[m] = np.exp(1.0 - 1.0 / (1.0 - r2[m] / (R * R)))
+        m = np.abs(r - mid) < half
+        env[m] = np.exp(1.0 - 1.0 / (1.0 - ((r[m] - mid) / half) ** 2))
         vals = env * np.sin(1.5 * d1) * np.cos(2.2 * d2)
         vals -= vals.mean()
         theta = ScalarField(g, vals)
         w = riesz_velocity(theta)
-        sp = VelocitySplit(theta, 1.0 / 8.0)
         h = g.spacing
-        ii, jj = np.where(r2 <= 1.0)
+        ii, jj = np.where(r <= 1.0)
         sel = slice(0, len(ii), max(1, len(ii) // 40))
-        errs, norms = [], []
-        for i, j in zip(ii[sel], jj[sel]):
-            p = (i * h, j * h)
-            s = sp.w1(p) + sp.w2(p) + sp.w3(p)
-            target = np.array([w.u[i, j], w.v[i, j]]) - sp.w_bar
-            errs.append(np.hypot(*(s - target)))
-            norms.append(np.hypot(*target))
-        rel = np.sqrt(np.mean(np.square(errs))) / np.sqrt(np.mean(np.square(norms)))
-        assert rel <= 0.02
+        # rho = 1/8: theta lies in the annulus; rho = 1/2: B_4 cuts it into
+        # annulus and far parts
+        for rho in (1.0 / 8.0, 0.5):
+            sp = VelocitySplit(theta, rho)
+            errs, norms = [], []
+            for i, j in zip(ii[sel], jj[sel]):
+                p = (i * h, j * h)
+                s = sp.w2(p) + sp.w3(p)
+                target = np.array([w.u[i, j], w.v[i, j]]) - sp.w_bar
+                errs.append(np.hypot(*(s - target)))
+                norms.append(np.hypot(*target))
+            rel = np.sqrt(np.mean(np.square(errs))) / np.sqrt(np.mean(np.square(norms)))
+            assert rel <= 0.02, rho
 
     def test_rho_validated(self):
         g = Grid(64, 16.0)
@@ -226,13 +233,6 @@ class TestVelocitySplit:
         # the full calibration sweep, re-derived: the frozen constant must
         # still bound it
         assert 0.0 < calibrate_split_bound_constant() <= SPLIT_BOUND_CONSTANT
-
-    def test_near_field_requires_grid_nodes(self):
-        g = Grid(64, 16.0)
-        theta = random_band_limited(g, 4, [45, 0, 0])
-        sp = VelocitySplit(theta, 0.25)
-        with pytest.raises(ValueError, match="grid-node"):
-            sp.w1((8.0 + 0.4 * g.spacing, 8.0))
 
     def test_node_sups_require_grid_nodes(self):
         g = Grid(64, 16.0)
@@ -409,6 +409,18 @@ class TestHolderEstimate:
             holder_estimate(ScalarField(g, np.zeros(g.shape)), 0.5, 0.5 * g.spacing)
 
 
+def decaying_mode_history():
+    """The analytically decaying mode sin(x1 - L/2) e^-t on the nested
+    three-step schedule at alpha = 0.95, normalized; returns (history, M)."""
+    L = 4 * np.pi
+    g = Grid(256, L)
+    x1, _ = g.coordinates()
+    times = iteration_snapshot_times(1.0, 1 / 16, 0.95, steps=3, per_window=10)
+    times = np.concatenate([[0.0], times[times > 0]])
+    raw = [ScalarField(g, np.exp(-t) * np.sin(x1 - L / 2), t) for t in times]
+    return normalize_window(raw, t_end=1.0)
+
+
 class TestIterationSuite:
     def test_zero_field_degenerate_success(self):
         g = Grid(256, 4 * np.pi)
@@ -416,6 +428,64 @@ class TestIterationSuite:
         res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=1.0, alpha=0.95, steps=3))
         assert res.completed_steps == 0
         assert "degenerate success" in res.failure
+        assert res.passed is False
+
+    def test_no_steps_rejected(self):
+        # with no step the verdict would hold vacuously
+        with pytest.raises(ValueError, match="steps"):
+            IterationConfig(rho=1 / 16, M=1.0, alpha=0.95, steps=0)
+
+    def test_stops_at_false_M_monotone(self):
+        # delta = 0.01 < eps = 0.05: M_next = rho^(delta - eps) M_k grows,
+        # while the other three bounds hold at step 1
+        hist, M = decaying_mode_history()
+        res = run_iteration_suite(
+            hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3, delta=0.01)
+        )
+        assert res.completed_steps == 1
+        assert "M monotone" in res.failure and "step 1" in res.failure
+        assert res.passed is False
+        assert not res.records[-1].bounds.M_monotone
+
+    def test_stops_at_false_containment(self):
+        # M = 1e3 drives the recentering shift past 1/2 - rho at step 2
+        hist, _ = decaying_mode_history()
+        res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=1e3, alpha=0.95, steps=3))
+        assert res.completed_steps == 2
+        assert "containment" in res.failure and "step 2" in res.failure
+        assert res.passed is False
+        assert res.records[0].containment_ok and not res.records[1].containment_ok
+
+    def test_stops_at_false_hypothesis(self):
+        # a frozen bump of height 1 at the centre: the midrange over Q_1/2
+        # is near 1/2, so |theta - m| ~ 1/2 > rho^delta = 1/4 on Q_rho
+        g = Grid(256, 4 * np.pi)
+        d1, d2 = g.displacement(g.center)
+        bump = np.exp(-(d1**2 + d2**2) / (2 * 0.15**2))
+        raw = [ScalarField(g, bump, t) for t in np.linspace(0, 1, 13)]
+        hist, M = normalize_window(raw, t_end=1.0)
+        res = run_iteration_suite(
+            hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3, delta=0.5)
+        )
+        assert res.completed_steps == 1
+        assert "decay hypothesis" in res.failure and "step 1" in res.failure
+        assert res.passed is False
+
+    def test_stops_at_false_outer_bound(self, monkeypatch):
+        # only the flag is flipped: at step 1, |theta| <= 1 and
+        # rho^-delta <= 3/2 keep the outer ratio below 1 on any input
+        rescale = oscillation_module.rescale_recenter
+
+        def outer_bound_fails(*args):
+            new_history, outcome = rescale(*args)
+            return new_history, dataclasses.replace(outcome, outside_ok=False)
+
+        monkeypatch.setattr(oscillation_module, "rescale_recenter", outer_bound_fails)
+        hist, M = decaying_mode_history()
+        res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3))
+        assert res.completed_steps == 1
+        assert "outer bound" in res.failure and "step 1" in res.failure
+        assert res.passed is False
 
     def test_uncovered_frame_is_a_structured_failure(self):
         # a first stamp past the coverage slack of 1e-9: Q_1 cannot be
@@ -428,6 +498,7 @@ class TestIterationSuite:
         res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3))
         assert res.completed_steps == 0
         assert "does not cover" in res.failure and "step 1" in res.failure
+        assert res.passed is False
 
     def test_normalization_preconditions_enforced(self):
         g = Grid(256, 4 * np.pi)
@@ -438,20 +509,13 @@ class TestIterationSuite:
     def test_frozen_decaying_mode_geometric_decay(self):
         # analytically decaying single mode pushed through the pipeline:
         # every bookkeeping bound holds and the fitted exponent is positive
-        L = 4 * np.pi
-        g = Grid(256, L)
-        x1, _ = g.coordinates()
         alpha = 0.95
-        times = iteration_snapshot_times(1.0, 1 / 16, alpha, steps=3, per_window=10)
-        times = np.concatenate([[0.0], times[times > 0]])
-        raw = [
-            ScalarField(g, np.exp(-t) * np.sin(x1 - L / 2), t) for t in times
-        ]
-        hist, M = normalize_window(raw, t_end=1.0)
+        hist, M = decaying_mode_history()
         res = run_iteration_suite(
             hist, IterationConfig(rho=1 / 16, M=M, alpha=alpha, steps=3)
         )
         assert res.completed_steps == 3, res.failure
+        assert res.passed
         assert res.fitted_decay_exponent > 0
         rho_a = (1 / 16) ** alpha
         for rec in res.records:
@@ -473,7 +537,7 @@ class TestIterationSuite:
         raw = [ScalarField(g, np.exp(-t) * np.sin(x1 - 2 * np.pi), t) for t in times]
         hist, M = normalize_window(raw, t_end=1.0)
         res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=1))
-        assert res.completed_steps == 1
+        assert res.completed_steps == 1 and res.passed
         for line in res.report_lines():
             blob = json.loads(line)
             assert {"k", "r_k", "osc", "max_V", "M_k", "far_empty"} <= set(blob)
@@ -494,6 +558,7 @@ class TestIterationSuite:
             hist, IterationConfig(rho=rho, M=M, alpha=alpha, steps=2, delta=0.1, ode_step_divisor=8)
         )
         assert res.completed_steps == 2, res.failure
+        assert res.passed
         first, second = [json.loads(line) for line in res.report_lines()]
         assert first["far_empty"] and not first["truncated_split"]
         assert not second["far_empty"] and second["truncated_split"]

@@ -287,6 +287,25 @@ class TestOperatorPath:
         with pytest.raises(ValueError, match="snapshot time 0.1 lies outside"):
             run(late, cfg)
 
+    def test_empty_snapshot_request_rejected(self, grid):
+        # it would integrate nothing and return the initial field as final
+        theta = random_band_limited(grid, 4, [30, 0, 0])
+        with pytest.raises(ValueError, match="no snapshot time"):
+            run(theta, SolverConfig(alpha=1.0, dt=1e-2, t_end=0.1), snapshot_times=[])
+
+    def test_time_within_rounding_below_the_start_is_the_start(self, grid):
+        # it stores the initial field, as the start itself does
+        theta = random_band_limited(grid, 4, [30, 0, 0])
+        cfg = SolverConfig(alpha=1.0, dt=1e-2, t_end=0.1)
+        below = run(theta, cfg, snapshot_times=[-1e-10, 0.05])
+        exact = run(theta, cfg, snapshot_times=[0.0, 0.05])
+        assert len(below.history) == len(exact.history) == 3
+        assert np.array_equal(below.history[0].values, theta.values)
+        for a, b in zip(below.history, exact.history):
+            assert a.time_stamp == b.time_stamp
+            assert np.array_equal(a.values, b.values)
+        assert below.final is below.history[-1]
+
 
 class TestWorkspace:
     """The work arrays a solver allocates once and reuses on every step."""
