@@ -16,6 +16,10 @@ Set measures are Monte Carlo estimates (the sets have irregular boundaries,
 and the standard error gives a quantified tolerance); gradients of sampled
 fields use centered differences on the extension grid, one-sided at z = 0,
 where the vanishing weight suppresses the boundary stencil error.
+
+The isoperimetric check takes a whole family: its members share one sample
+set, and one trilinear sample plan is built per distinct lattice (grid and
+z-levels) for the length of that one call.
 """
 
 from dataclasses import dataclass
@@ -101,7 +105,8 @@ def _trilinear_plan(ext, x1, x2, z):
     """Corner indices and weights of ``interpolate_extension`` at the points.
 
     The plan depends only on the lattice (grid and z-levels), so one plan
-    serves every field sampled on that lattice at the same points.
+    serves every field sampled on that lattice at the same points:
+    ``isoperimetric_check`` applies it to each member and to its gradient.
     """
     grid = ext.base_grid
     c = 0.5 * grid.side_length
@@ -202,22 +207,36 @@ class IsoperimetricResult:
     passed: bool  # margin >= 0
 
 
-def isoperimetric_check(ext, eps, constant_C, mc):
-    """Evaluate both sides of the weighted isoperimetric bound.
+def isoperimetric_check(fields, eps, constant_C, mc):
+    """Evaluate both sides of the weighted isoperimetric bound for each field.
 
-    The field is clamped to [0, 1] before the gradient is taken.  All four
-    integrals share one sample set (common random numbers), which makes the
-    w -> 1 - w swap invariance exact up to rounding.  Pass criterion:
-    margin = rhs + 3 combined standard errors - lhs >= 0, where rhs carries
-    the constant C.
+    Returns one ``IsoperimetricResult`` per field, in order.  Each field is
+    clamped to [0, 1] before the gradient is taken.  All four integrals of
+    every member share one sample set (common random numbers), which makes
+    the w -> 1 - w swap invariance exact up to rounding; the trilinear plan
+    is built once per distinct lattice and dropped when the call returns.
+    Pass criterion: margin = rhs + 3 combined standard errors - lhs >= 0,
+    where rhs carries the constant C.
     """
-    clamped = clamp_unit(ext)
-    grad_sq = extension_gradient_squared(clamped)
-
+    fields = list(fields)
+    if not fields:
+        raise ValueError("isoperimetric_check needs at least one field")
     pts = mc.sample_points()
-    plan = _trilinear_plan(ext, *pts)
-    w = _trilinear(ext.values, plan)
     zw = pts[2] ** eps
+    plans = {}
+    results = []
+    for ext in fields:
+        lattice = (ext.base_grid, tuple(ext.z_levels.tolist()))
+        if lattice not in plans:
+            plans[lattice] = _trilinear_plan(ext, *pts)
+        results.append(_isoperimetric_member(ext, plans[lattice], zw, constant_C, mc))
+    return results
+
+
+def _isoperimetric_member(ext, plan, zw, constant_C, mc):
+    """One member's ``IsoperimetricResult`` on its lattice's sample plan."""
+    grad_sq = extension_gradient_squared(clamp_unit(ext))
+    w = _trilinear(ext.values, plan)
     measures = {
         name: _mc_mean(np.where(PREDICATES[p](w), zw, 0.0), mc)
         for name, p in (("low", "le_zero"), ("high", "ge_one"), ("strip", "between"))
@@ -256,6 +275,8 @@ def isoperimetric_family(count, epsilon, seed):
     to peak 1.5 and shifted by +0.5 so that the sets {w <= 0} and {w >= 1}
     are generically nonempty on B_1^*.
     """
+    if count < 1:
+        raise ValueError(f"family count must be at least 1, got {count}")
     grid = Grid(64, 4.0)
     z_levels = np.linspace(0.0, 1.0, 33)
     fields = []

@@ -132,7 +132,7 @@ class ExtensionField:
 
     def max_principle_defect(self):
         """max over z of sup|theta(., z)| minus sup|theta(., 0)|."""
-        sup_z = np.max(np.abs(self.values), axis=(1, 2))
+        sup_z = np.array([np.max(np.abs(level)) for level in self.values])
         return float(np.max(sup_z) - sup_z[0])
 
 

@@ -348,9 +348,7 @@ def isoperimetric_report(count=20, seed=2025, samples=100_000):
     for eps in (0.0, 0.1):
         mc = WeightedRegion(sample_count=samples, seed=seed)
         fields = [linear_reference_profile(eps)] + isoperimetric_family(count, eps, seed)
-        results = [
-            isoperimetric_check(ext, eps, ISOPERIMETRIC_CONSTANT, mc) for ext in fields
-        ]
+        results = isoperimetric_check(fields, eps, ISOPERIMETRIC_CONSTANT, mc)
         sections.append(
             {
                 "name": f"isoperimetric_eps_{eps}",

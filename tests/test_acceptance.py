@@ -15,13 +15,12 @@ from sqgdiag.degiorgi import (
     LOCAL_ENERGY_CONSTANT,
     WeightedRegion,
     extension_cutoff,
-    isoperimetric_check,
-    isoperimetric_family,
     linear_reference_profile,
     local_energy_check,
     weighted_measure,
 )
 from sqgdiag.extension import calibrate_dtn_constant, extend, neumann_trace, trace_ladder
+from sqgdiag.harness import isoperimetric_report
 from sqgdiag.oscillation import (
     IterationConfig,
     calibrate_tail_constant,
@@ -186,16 +185,8 @@ def test_criterion_6_dtn_verification():
 
 
 def test_criterion_7_isoperimetric_lemma():
-    ok = True
-    worst_margin = np.inf
-    for eps in (0.0, 0.1):
-        mc = WeightedRegion(sample_count=200_000, seed=2025)
-        fields = [linear_reference_profile(eps)] + isoperimetric_family(100, eps, 2025)
-        for ext in fields:
-            res = isoperimetric_check(ext, eps, ISOPERIMETRIC_CONSTANT, mc)
-            ok = ok and res.passed
-            slack = res.rhs + 3 * np.hypot(res.lhs_std_error, res.rhs_std_error) - res.lhs
-            worst_margin = min(worst_margin, slack)
+    sweep = isoperimetric_report(count=100, seed=2025, samples=200_000)
+    worst_margin = min(s["worst_margin"] for s in sweep.sections)
     # closed-form geometry at one million samples
     ext = linear_reference_profile(0.0)
     mc6 = WeightedRegion(sample_count=10**6, seed=31)
@@ -210,7 +201,7 @@ def test_criterion_7_isoperimetric_lemma():
     )
     report(
         7,
-        ok and geo_ok,
+        sweep.passed and geo_ok,
         f"101-member family x two weights with frozen C={ISOPERIMETRIC_CONSTANT} "
         f"(worst 3-sigma margin {worst_margin:.3f}); closed forms within 3 SE at 1e6 samples",
     )

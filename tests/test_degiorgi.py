@@ -1,5 +1,7 @@
 """Weighted measures, the isoperimetric bound, the local energy bound."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ class TestWeightedMeasure:
 
 class TestIsoperimetric:
     def test_constant_passes_any_constant(self):
-        res = isoperimetric_check(constant_half_field(), 0.0, 0.0, WeightedRegion(seed=2))
+        (res,) = isoperimetric_check([constant_half_field()], 0.0, 0.0, WeightedRegion(seed=2))
         assert res.lhs == 0.0
         assert res.passed
 
@@ -97,7 +99,7 @@ class TestIsoperimetric:
         # all four integrals have closed forms; Monte Carlo within 3 sigma
         ext = linear_reference_profile(0.0)
         mc = WeightedRegion(sample_count=10**6, seed=13)
-        res = isoperimetric_check(ext, 0.0, ISOPERIMETRIC_CONSTANT, mc)
+        (res,) = isoperimetric_check([ext], 0.0, ISOPERIMETRIC_CONSTANT, mc)
         strip = np.pi / 2 - SEGMENT_AREA
         m_low, se_low = res.measures["low"]
         m_high, se_high = res.measures["high"]
@@ -117,8 +119,7 @@ class TestIsoperimetric:
             ext.base_grid, ext.z_levels, 1.0 - ext.values, ext.weight_exponent
         )
         mc = WeightedRegion(sample_count=200_000, seed=17)
-        a = isoperimetric_check(ext, 0.1, 1.0, mc)
-        b = isoperimetric_check(flipped, 0.1, 1.0, mc)
+        a, b = isoperimetric_check([ext, flipped], 0.1, 1.0, mc)
         tol = 3 * np.hypot(a.lhs_std_error, b.lhs_std_error)
         assert abs(a.lhs - b.lhs) <= max(tol, 1e-12)
         assert abs(a.rhs - b.rhs) <= max(3 * np.hypot(a.rhs_std_error, b.rhs_std_error), 1e-12)
@@ -127,15 +128,15 @@ class TestIsoperimetric:
     def test_family_subset_with_frozen_constant(self, eps):
         mc = WeightedRegion(sample_count=100_000, seed=19)
         fields = [linear_reference_profile(eps)] + isoperimetric_family(10, eps, 2025)
-        for ext in fields:
-            res = isoperimetric_check(ext, eps, ISOPERIMETRIC_CONSTANT, mc)
-            assert res.passed
+        results = isoperimetric_check(fields, eps, ISOPERIMETRIC_CONSTANT, mc)
+        assert len(results) == len(fields)
+        assert all(res.passed for res in results)
 
     def test_frozen_constant_has_headroom(self):
         # the binding family member is the linear profile; the frozen
         # constant must exceed what it requires
         mc = WeightedRegion(sample_count=200_000, seed=23)
-        res = isoperimetric_check(linear_reference_profile(0.0), 0.0, 1.0, mc)
+        (res,) = isoperimetric_check([linear_reference_profile(0.0)], 0.0, 1.0, mc)
         assert res.lhs / res.rhs < ISOPERIMETRIC_CONSTANT
 
     def test_margin_is_the_verdict(self):
@@ -143,9 +144,9 @@ class TestIsoperimetric:
         # half the binding profile's measured ratio lhs / rhs fails
         ext = linear_reference_profile(0.0)
         mc = WeightedRegion(sample_count=200_000, seed=23)
-        unit = isoperimetric_check(ext, 0.0, 1.0, mc)
+        (unit,) = isoperimetric_check([ext], 0.0, 1.0, mc)
         results = [
-            isoperimetric_check(ext, 0.0, constant, mc)
+            isoperimetric_check([ext], 0.0, constant, mc)[0]
             for constant in (ISOPERIMETRIC_CONSTANT, 0.5 * unit.lhs / unit.rhs)
         ]
         for res in results:
@@ -161,10 +162,68 @@ class TestIsoperimetric:
         # check are exactly weighted_measure's
         ext = isoperimetric_family(1, eps, 2025)[0]
         mc = WeightedRegion(sample_count=70_000, seed=29)
-        res = isoperimetric_check(ext, eps, ISOPERIMETRIC_CONSTANT, mc)
+        (res,) = isoperimetric_check([ext], eps, ISOPERIMETRIC_CONSTANT, mc)
         for name, predicate in (("low", "le_zero"), ("high", "ge_one"), ("strip", "between")):
             assert res.measures[name] == weighted_measure(ext, predicate, eps, mc)
         assert all(res.measures[name][0] > 0.0 for name in ("low", "high", "strip"))
+
+
+SWEEP_REGION = WeightedRegion(sample_count=20_000, seed=47)
+
+
+@lru_cache(maxsize=1)
+def mixed_lattice_sweep():
+    """The 128^2 linear profile, two 64^2 members, the profile again (eps 0.1).
+
+    Returns the fields and their one-field results.
+    """
+    profile = linear_reference_profile(0.1)
+    fields = (profile, *isoperimetric_family(2, 0.1, 2025), profile)
+    return fields, [
+        isoperimetric_check([ext], 0.1, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)[0]
+        for ext in fields
+    ]
+
+
+def count_plan_builds(monkeypatch):
+    builds = []
+
+    def counted(ext, *points):
+        builds.append(ext.base_grid.n)
+        return _trilinear_plan(ext, *points)
+
+    monkeypatch.setattr("sqgdiag.degiorgi._trilinear_plan", counted)
+    return builds
+
+
+class TestFamilySweep:
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
+    def test_one_plan_per_lattice(self, monkeypatch, order):
+        fields, expected = mixed_lattice_sweep()
+        builds = count_plan_builds(monkeypatch)
+        got = isoperimetric_check(
+            [fields[i] for i in order], 0.1, ISOPERIMETRIC_CONSTANT, SWEEP_REGION
+        )
+        assert got == [expected[i] for i in order]
+        assert sorted(builds) == [64, 128]
+
+    def test_no_plan_outlives_its_sweep(self, monkeypatch):
+        # a second sweep on the same lattice builds its plan again: no
+        # process-wide plan cache holds the sample-sized arrays
+        fields, expected = mixed_lattice_sweep()
+        builds = count_plan_builds(monkeypatch)
+        for _ in range(2):
+            got = isoperimetric_check(fields[1:3], 0.1, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
+            assert got == expected[1:3]
+        assert builds == [64, 64]
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_family_rejected(self, count):
+        # an empty sweep would pass vacuously
+        with pytest.raises(ValueError, match="at least 1"):
+            isoperimetric_family(count, 0.1, 2025)
+        with pytest.raises(ValueError, match="at least one field"):
+            isoperimetric_check([], 0.1, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
 
 
 def trilinear_oracle(values, grid, zl, x1, x2, z):
@@ -212,7 +271,7 @@ class TestSharedTrilinearPlan:
     def test_isoperimetric_measures_unchanged(self):
         ext = isoperimetric_family(1, 0.0, 2025)[0]
         mc = WeightedRegion(sample_count=50_000, seed=43)
-        res = isoperimetric_check(ext, 0.0, ISOPERIMETRIC_CONSTANT, mc)
+        (res,) = isoperimetric_check([ext], 0.0, ISOPERIMETRIC_CONSTANT, mc)
         pts = mc.sample_points()
         grad = extension_gradient_squared(clamp_unit(ext))
         grad_ext = ExtensionField(ext.base_grid, ext.z_levels, grad, 0.0)

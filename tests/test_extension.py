@@ -122,6 +122,19 @@ class TestExtend:
         ext = extend(theta, z, eps)
         assert ext.max_principle_defect() <= 1e-10
 
+    def test_maximum_principle_violation_raises(self, grid, monkeypatch):
+        # negative control: a profile table above 1 at one level lifts that
+        # level past sup|theta|, and extend must refuse the result
+        def amplified(*key):
+            table = _profile_table(*key).copy()
+            table[-1] = 1.5
+            return table
+
+        monkeypatch.setattr("sqgdiag.extension._profile_table", amplified)
+        theta = random_band_limited(grid, 4, [35, 0, 0])
+        with pytest.raises(AssertionError, match="maximum principle violated"):
+            extend(theta, np.linspace(0.0, 1.0, 5), 0.1)
+
     def test_epsilon_range(self, grid):
         theta = random_band_limited(grid, 4, [33, 0, 0])
         with pytest.raises(ValueError):

@@ -425,6 +425,8 @@ class TestCli:
             (["diagnose", "{tmp}/missing.sqgd"], "No such file"),
             (["isoperimetric", "--samples", "0"], "sample_count must be positive"),
             (["extension-check", "--n", "48"], "grid size"),
+            (["isoperimetric", "--count", "-3", "--samples", "2000"], "at least 1"),
+            (["isoperimetric", "--count", "0", "--samples", "2000"], "at least 1"),
         ],
     )
     def test_unusable_input_exits_2(self, argv, message, tmp_path, capsys):
