@@ -29,9 +29,10 @@ import numpy as np
 
 from .extension import (
     ExtensionField,
+    _box_dirichlet,
     _z_derivative,
+    cutoff_box,
     extend,
-    weighted_dirichlet_energy,
     weighted_z_integral,
 )
 from .spectral import Grid, ScalarField, random_band_limited
@@ -188,11 +189,19 @@ def extension_gradient_squared(ext):
     Horizontal derivatives wrap periodically; the z stencil is one-sided at
     the first and last level.
     """
-    v = ext.values
-    h = ext.base_grid.spacing
+    return _gradient_squared(ext.values, ext.base_grid.spacing, ext.z_levels)
+
+
+def _gradient_squared(v, h, z):
+    """``extension_gradient_squared`` of an (n_z, rows, columns) array.
+
+    The horizontal differences wrap within the array, so on a box cut from
+    the lattice they are those of the lattice only where the box edges are
+    zero (``cutoff_box``).
+    """
     g1 = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * h)
     g2 = (np.roll(v, -1, axis=2) - np.roll(v, 1, axis=2)) / (2 * h)
-    gz = _z_derivative(v, ext.z_levels)
+    gz = _z_derivative(v, z)
     return g1 * g1 + g2 * g2 + gz * gz
 
 
@@ -312,7 +321,8 @@ class LocalEnergyResult:
     constant: float
     budget: float
     velocity_norm: float  # sup_t ||w||_{L^(2n/alpha)(B_2)}
-    passed: bool
+    margin: float  # total rhs + budget - total lhs
+    passed: bool  # margin >= 0
 
 
 def velocity_local_norm(vel, alpha):
@@ -351,11 +361,17 @@ def extension_cutoff(grid, z_levels):
 def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     """Quadrature check of the cutoff level-set energy inequality.
 
-    history: ExtensionField snapshots; velocities: VelocityField snapshots
-    on the same time grid (validated).  All integrals of the bound are
-    evaluated with the z^eps-weighted trapezoid in z, grid sums in x and
-    trapezoid in t; the declared budget adds the per-snapshot quadrature
-    estimates and a relative floor.  Returns terms, budget and pass flag.
+    history: ExtensionField snapshots on one lattice (grid, z-levels and
+    weight exponent of history[0]); velocities: VelocityField snapshots on
+    the same time grid; cutoff: (n, n) or (n_z, n, n) of that lattice (all
+    validated).  All integrals of the bound are evaluated with the
+    z^eps-weighted trapezoid in z, grid sums in x and trapezoid in t; the
+    declared budget adds the per-snapshot quadrature estimates and a
+    relative floor.  Every term is formed only on the cutoff's support box
+    (``extension.cutoff_box``), where each snapshot is truncated, since
+    every integrand carries the cutoff or its gradient.  Returns terms,
+    budget, margin = total rhs + budget - total lhs, and the pass flag
+    margin >= 0.
     """
     times = np.array([ext.time_stamp for ext in history])
     vtimes = np.array([v.time_stamp for v in velocities])
@@ -365,19 +381,28 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     if len(sel) < 2:
         raise ValueError("need at least two snapshots in [t1, t2]")
 
-    eps = history[0].weight_exponent
-    grid = history[0].base_grid
+    first = history[0]
+    eps = first.weight_exponent
+    grid = first.base_grid
+    z = first.z_levels
+    for j, ext in enumerate(history):
+        if (
+            ext.base_grid != grid
+            or not np.array_equal(ext.z_levels, z)
+            or ext.weight_exponent != eps
+        ):
+            raise ValueError(
+                f"snapshot {j} is not on the lattice of snapshot 0 "
+                "(grid, z-levels and weight exponent must match)"
+            )
     alpha = 1.0 - eps
     h2 = grid.spacing**2
-    cut = np.asarray(cutoff, dtype=float)
-    if cut.ndim == 2:
-        cut = cut[None, :, :]
-
+    cut, box = cutoff_box(cutoff, first.values.shape)
+    eta = cut[:, box[0], box[1]]
     # finite-difference gradient of the cutoff (one-sided in z at the ends)
-    cut_ext = ExtensionField(
-        grid, history[0].z_levels, np.broadcast_to(cut, history[0].values.shape), eps
+    grad_eta_sq = _gradient_squared(
+        np.broadcast_to(eta, (len(z),) + eta.shape[1:]), grid.spacing, z
     )
-    grad_eta_sq = extension_gradient_squared(cut_ext)
 
     grad_term = np.empty(len(sel))
     grad_err = np.empty(len(sel))
@@ -386,15 +411,14 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     boundary_energy = np.empty(len(sel))
     vnorms = np.empty(len(sel))
     for idx, j in enumerate(sel):
-        ext = history[j]
-        psi = np.maximum(ext.values - level, 0.0)
-        psi_ext = ExtensionField(grid, ext.z_levels, psi, eps)
-        grad_term[idx], grad_err[idx] = weighted_dirichlet_energy(psi_ext, cut)
-        eta0 = cut[0]
-        boundary_energy[idx] = np.sum((eta0 * psi[0]) ** 2) * h2
-        rhs_x[idx] = np.sum(grad_eta_sq[0] * psi[0] ** 2) * h2
-        per_level = np.sum(grad_eta_sq * psi**2, axis=(1, 2)) * h2
-        rhs_ext[idx] = weighted_z_integral(ext.z_levels, per_level, eps)
+        psi = history[j].values[:, box[0], box[1]] - level
+        np.maximum(psi, 0.0, out=psi)
+        grad_term[idx], grad_err[idx] = _box_dirichlet(psi * eta, box, grid, z, eps)
+        boundary_energy[idx] = np.sum((eta[0] * psi[0]) ** 2) * h2
+        psi *= psi
+        rhs_x[idx] = np.sum(grad_eta_sq[0] * psi[0]) * h2
+        per_level = np.sum(grad_eta_sq * psi, axis=(1, 2)) * h2
+        rhs_ext[idx] = weighted_z_integral(z, per_level, eps)
         vnorms[idx] = velocity_local_norm(velocities[j], alpha)
 
     tt = times[sel]
@@ -417,11 +441,13 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     total_rhs = rhs["start_energy"] + C1 * (
         rhs["cutoff_gradient_trace"] + rhs["cutoff_gradient_extension"]
     )
+    margin = total_rhs + budget - total_lhs
     return LocalEnergyResult(
         lhs_terms=lhs,
         rhs_terms=rhs,
         constant=C1,
         budget=budget,
         velocity_norm=float(np.max(vnorms)),
-        passed=bool(total_lhs <= total_rhs + budget),
+        margin=margin,
+        passed=bool(margin >= 0.0),
     )

@@ -291,6 +291,42 @@ def _gradient_weight(grid):
     return (np.abs(op.dx1) ** 2 + np.abs(op.dx2) ** 2) * op.parseval / float(grid.n) ** 2
 
 
+SUPPORT_PAD = 2  # nodes of zeros around a cutoff's support box
+
+
+def cutoff_box(cutoff, shape):
+    """A cutoff as (n_z or 1, n, n) levels and the horizontal box of its support.
+
+    ``shape`` is (n_z, n, n) of the extension lattice; the cutoff must be
+    (n, n) (broadcast over z) or exactly ``shape``, and None is 1.  The box
+    is a pair of slices: the bounding box of ``cutoff != 0`` over all
+    levels, padded by SUPPORT_PAD nodes, so that a product with the cutoff
+    vanishes outside it and a centred difference of the cutoff that wraps
+    inside the box sees zeros at its edges.  A padded box that does not fit
+    inside the grid, or an empty support, is the whole grid, where the wrap
+    is the grid's own periodicity.
+    """
+    n = shape[-1]
+    whole = (slice(0, n), slice(0, n))
+    if cutoff is None:
+        return np.ones((1, n, n)), whole
+    cut = np.asarray(cutoff, dtype=float)
+    if cut.shape == shape[1:]:
+        cut = cut[None, :, :]
+    if cut.shape not in ((1,) + shape[1:], shape):
+        raise ValueError(
+            f"cutoff shape {np.shape(cutoff)} is neither {shape[1:]} nor {shape}"
+        )
+    nonzero = np.any(cut != 0.0, axis=0)
+    box = []
+    for other in (1, 0):
+        hit = np.flatnonzero(np.any(nonzero, axis=other))
+        if hit.size == 0 or hit[0] < SUPPORT_PAD or hit[-1] + SUPPORT_PAD >= n:
+            return cut, whole
+        box.append(slice(hit[0] - SUPPORT_PAD, hit[-1] + SUPPORT_PAD + 1))
+    return cut, tuple(box)
+
+
 def weighted_dirichlet_energy(ext, cutoff=None):
     """Quadrature of int z^eps |grad(cutoff * theta)|^2 dx dz.
 
@@ -302,25 +338,31 @@ def weighted_dirichlet_energy(ext, cutoff=None):
 
     cutoff may be None (full window), a 2-d array broadcast over z, or an
     array shaped like ext.values; it must be supported inside the grid
-    window.
+    window.  cutoff * theta and its z-derivative are formed only on the
+    cutoff's support box (``cutoff_box``); each level is embedded in a
+    zeroed (n, n) array for its transform, so the sums are those of the
+    whole lattice.
     """
-    eps = ext.weight_exponent
-    grid = ext.base_grid
-    z = ext.z_levels
-    if cutoff is None:
-        prod = ext.values
-    else:
-        cut = np.asarray(cutoff, dtype=float)
-        if cut.ndim == 2:
-            cut = cut[None, :, :]
-        prod = ext.values * cut
+    cut, box = cutoff_box(cutoff, ext.values.shape)
+    prod = ext.values[:, box[0], box[1]] * cut[:, box[0], box[1]]
+    return _box_dirichlet(prod, box, ext.base_grid, ext.z_levels, ext.weight_exponent)
 
+
+def _box_dirichlet(prod, box, grid, z, eps):
+    """``weighted_dirichlet_energy`` of a product that vanishes outside box.
+
+    prod holds the product on the box, shaped (len(z), box rows, box
+    columns); ``local_energy_check`` calls this on its truncations directly.
+    """
     grad_weight = _gradient_weight(grid)
+    level = np.zeros(grid.shape)
+    spec = np.empty((grid.n, grid.n // 2 + 1), dtype=complex)
     g_levels = np.empty(len(z))
     h2 = grid.spacing**2
     dz_prod = _z_derivative(prod, z)
     for j in range(len(z)):
-        spec = rfft2(prod[j])
+        level[box] = prod[j]
+        rfft2(level, out=spec)
         power = spec.real**2 + spec.imag**2
         g_levels[j] = (np.sum(grad_weight * power) + np.sum(dz_prod[j] ** 2)) * h2
 

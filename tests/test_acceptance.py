@@ -230,7 +230,7 @@ def test_criterion_8_local_energy_inequality():
         8,
         coarse.passed and fine.passed,
         f"local energy inequality with frozen C1={LOCAL_ENERGY_CONSTANT} at N=128 "
-        f"and one refinement N=256",
+        f"and one refinement N=256 (margins {coarse.margin:.4g} and {fine.margin:.4g})",
     )
 
 

@@ -1,9 +1,11 @@
 """Weighted measures, the isoperimetric bound, the local energy bound."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.fft import rfft2
 
 from sqgdiag.degiorgi import (
     ISOPERIMETRIC_CONSTANT,
@@ -20,11 +22,20 @@ from sqgdiag.degiorgi import (
     isoperimetric_family,
     linear_reference_profile,
     local_energy_check,
+    velocity_local_norm,
     weighted_measure,
 )
-from sqgdiag.extension import ExtensionField, extend, trace_ladder
+from sqgdiag.extension import (
+    ExtensionField,
+    _gradient_weight,
+    _z_derivative,
+    cutoff_box,
+    extend,
+    trace_ladder,
+    weighted_z_integral,
+)
 from sqgdiag.solver import SolverConfig, run
-from sqgdiag.spectral import Grid, ScalarField, riesz_velocity
+from sqgdiag.spectral import Grid, ScalarField, random_band_limited, riesz_velocity
 
 SEGMENT_AREA = np.pi / 3 - np.sqrt(3) / 4  # unit-disk area beyond x = 1/2
 
@@ -297,6 +308,89 @@ def single_mode_extension_run(n=128, alpha=0.95, t_end=0.5, n_snap=11):
     return exts, vels, cutoff
 
 
+@pytest.fixture(scope="module")
+def single_mode_runs():
+    """The default single-mode run at N = 64 and 128, shared by the module."""
+    return {n: single_mode_extension_run(n=n) for n in (64, 128)}
+
+
+def full_lattice_dirichlet(values, cut, z, eps, grid):
+    """weighted_dirichlet_energy on the whole lattice: (value, estimate)."""
+    prod = values * cut
+    dz_prod = _z_derivative(prod, z)
+    weight = _gradient_weight(grid)
+    g = np.empty(len(z))
+    for j in range(len(z)):
+        spec = rfft2(prod[j])
+        g[j] = (np.sum(weight * (spec.real**2 + spec.imag**2)) + np.sum(dz_prod[j] ** 2)) * (
+            grid.spacing**2
+        )
+    curv = np.abs(np.diff(g, 2))
+    dz = np.diff(z)
+    zmax = np.maximum(z[1:-1], z[2:]) ** eps if eps > 0 else np.ones(len(z) - 2)
+    err = float(np.sum(curv * np.maximum(dz[:-1], dz[1:]) * zmax) / 12.0)
+    return float(weighted_z_integral(z, g, eps)), err
+
+
+def full_lattice_local_energy(history, velocities, cutoff, level, t1, t2):
+    """local_energy_check's terms with every integrand on the whole lattice.
+
+    Returns (lhs_terms, rhs_terms, budget, velocity_norm).
+    """
+    times = np.array([ext.time_stamp for ext in history])
+    sel = np.where((times >= t1 - 1e-12) & (times <= t2 + 1e-12))[0]
+    first = history[0]
+    grid, z, eps = first.base_grid, first.z_levels, first.weight_exponent
+    h2 = grid.spacing**2
+    cut = np.asarray(cutoff, dtype=float)
+    if cut.ndim == 2:
+        cut = cut[None, :, :]
+    cut_ext = ExtensionField(grid, z, np.broadcast_to(cut, first.values.shape), eps)
+    grad_eta_sq = extension_gradient_squared(cut_ext)
+    series = {k: [] for k in ("grad", "err", "x", "ext", "boundary", "vel")}
+    for j in sel:
+        psi = np.maximum(history[j].values - level, 0.0)
+        value, err = full_lattice_dirichlet(psi, cut, z, eps, grid)
+        series["grad"].append(value)
+        series["err"].append(err)
+        series["boundary"].append(np.sum((cut[0] * psi[0]) ** 2) * h2)
+        series["x"].append(np.sum(grad_eta_sq[0] * psi[0] ** 2) * h2)
+        per_level = np.sum(grad_eta_sq * psi**2, axis=(1, 2)) * h2
+        series["ext"].append(weighted_z_integral(z, per_level, eps))
+        series["vel"].append(velocity_local_norm(velocities[j], 1.0 - eps))
+    series = {k: np.array(v) for k, v in series.items()}
+    tt = times[sel]
+
+    def trapezoid(f):
+        return float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(tt)))
+
+    lhs = {"dissipation": trapezoid(series["grad"]), "end_energy": float(series["boundary"][-1])}
+    rhs = {
+        "start_energy": float(series["boundary"][0]),
+        "cutoff_gradient_trace": trapezoid(series["x"]),
+        "cutoff_gradient_extension": trapezoid(series["ext"]),
+    }
+    budget = 1e-6 * rhs["start_energy"] + trapezoid(series["err"])
+    if len(tt) > 2:
+        for f in (series["grad"], series["boundary"]):
+            budget += float(np.sum(np.abs(np.diff(f, 2)))) * float(np.mean(np.diff(tt))) / 12.0
+    return lhs, rhs, budget, float(np.max(series["vel"]))
+
+
+def assert_matches_full_lattice(res, history, velocities, cutoff, level, t1, t2):
+    lhs, rhs, budget, vnorm = full_lattice_local_energy(
+        history, velocities, cutoff, level, t1, t2
+    )
+    assert res.lhs_terms.keys() == lhs.keys() and res.rhs_terms.keys() == rhs.keys()
+    for got, expected in [
+        *zip(res.lhs_terms.values(), lhs.values()),
+        *zip(res.rhs_terms.values(), rhs.values()),
+        (res.budget, budget),
+        (res.velocity_norm, vnorm),
+    ]:
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 class TestLocalEnergy:
     def test_zero_field_trivial(self):
         g = Grid(64, 4 * np.pi)
@@ -318,11 +412,92 @@ class TestLocalEnergy:
         assert res.passed
         assert sum(res.lhs_terms.values()) == 0.0
 
-    def test_single_mode_run_passes(self):
-        exts, vels, cutoff = single_mode_extension_run()
+    def test_single_mode_run_passes(self, single_mode_runs):
+        exts, vels, cutoff = single_mode_runs[128]
         res = local_energy_check(exts, vels, cutoff, 0.0, 0.0, 0.5, LOCAL_ENERGY_CONSTANT)
         assert res.passed
+        assert res.margin > 0.0
         assert res.velocity_norm < np.inf
+
+    def test_half_the_binding_constant_fails(self, single_mode_runs):
+        # negative control: C1 at which the margin vanishes, then half of it
+        exts, vels, cutoff = single_mode_runs[128]
+        res = local_energy_check(exts, vels, cutoff, 0.0, 0.0, 0.5, LOCAL_ENERGY_CONSTANT)
+        lhs, rhs = res.lhs_terms, res.rhs_terms
+        binding = (sum(lhs.values()) - res.budget - rhs["start_energy"]) / (
+            rhs["cutoff_gradient_trace"] + rhs["cutoff_gradient_extension"]
+        )
+        assert binding == pytest.approx(0.1399, abs=1e-4)
+        assert binding < LOCAL_ENERGY_CONSTANT
+        half = local_energy_check(exts, vels, cutoff, 0.0, 0.0, 0.5, binding / 2)
+        assert not half.passed
+        assert half.margin < 0.0
+        assert half.lhs_terms == lhs and half.budget == res.budget
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("level", [0.0, 0.5])
+    def test_terms_match_full_lattice(self, single_mode_runs, n, level):
+        exts, vels, cutoff = single_mode_runs[n]
+        box = cutoff_box(cutoff, exts[0].values.shape)[1]
+        assert box[0].stop - box[0].start < n and box[1].stop - box[1].start < n
+        res = local_energy_check(exts, vels, cutoff, level, 0.0, 0.5, LOCAL_ENERGY_CONSTANT)
+        assert_matches_full_lattice(res, exts, vels, cutoff, level, 0.0, 0.5)
+
+    @pytest.mark.parametrize("level", [0.0, 0.3])
+    def test_whole_grid_box_matches_full_lattice(self, level):
+        # on Grid(64, 4) the support spans nodes 2..62, so the padded box
+        # does not fit and the terms are taken on the whole lattice
+        g = Grid(64, 4.0)
+        theta0 = random_band_limited(g, 3, [13, 0, 0])
+        cfg = SolverConfig(alpha=0.95, dt=5e-3, t_end=0.1)
+        hist = run(theta0, cfg, snapshot_times=np.linspace(0, 0.1, 3)).history
+        z = np.linspace(0.0, 2.0, 17)
+        exts = [extend(f, z, cfg.epsilon) for f in hist]
+        vels = [riesz_velocity(f) for f in hist]
+        cutoff = extension_cutoff(g, z)
+        assert cutoff_box(cutoff, exts[0].values.shape)[1] == (slice(0, 64), slice(0, 64))
+        res = local_energy_check(exts, vels, cutoff, level, 0.0, 0.1, LOCAL_ENERGY_CONSTANT)
+        assert res.lhs_terms["dissipation"] > 0.0
+        assert_matches_full_lattice(res, exts, vels, cutoff, level, 0.0, 0.1)
+
+    def test_two_dimensional_cutoff_matches_full_lattice(self, single_mode_runs):
+        exts, vels, cutoff = single_mode_runs[64]
+        res = local_energy_check(exts, vels, cutoff[0], 0.0, 0.0, 0.5, LOCAL_ENERGY_CONSTANT)
+        assert_matches_full_lattice(res, exts, vels, cutoff[0], 0.0, 0.0, 0.5)
+
+    def test_peak_memory_below_one_extension_field(self, single_mode_runs):
+        exts, vels, cutoff = single_mode_runs[128]
+        tracemalloc.start()
+        try:
+            local_energy_check(exts, vels, cutoff, 0.0, 0.0, 0.5, LOCAL_ENERGY_CONSTANT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < exts[0].values.nbytes
+
+    @pytest.mark.parametrize(
+        "relabel",
+        [
+            lambda ext, j: (ext.base_grid, ext.z_levels * (1.5 if j % 2 else 1.0), 0.05),
+            lambda ext, j: (ext.base_grid, ext.z_levels, 0.3 if j % 2 else 0.05),
+            lambda ext, j: (Grid(64, 4.0) if j % 2 else ext.base_grid, ext.z_levels, 0.05),
+        ],
+        ids=["top_z_2_and_3", "eps_0.05_and_0.3", "side_4pi_and_4"],
+    )
+    def test_snapshot_off_the_lattice_rejected(self, relabel):
+        exts, vels, cutoff = single_mode_extension_run(n=64, t_end=0.2, n_snap=3)
+        mixed = []
+        for j, e in enumerate(exts):
+            grid, z, eps = relabel(e, j)
+            mixed.append(ExtensionField(grid, z, e.values, eps, e.time_stamp))
+        with pytest.raises(ValueError, match="snapshot 1 "):
+            local_energy_check(mixed, vels, cutoff, 0.0, 0.0, 0.2, LOCAL_ENERGY_CONSTANT)
+
+    def test_cutoff_off_the_lattice_rejected(self):
+        exts, vels, cutoff = single_mode_extension_run(n=64, t_end=0.2, n_snap=3)
+        for bad in (cutoff[1:], cutoff[0, :-1], cutoff[0, 0], cutoff[None]):
+            with pytest.raises(ValueError, match="cutoff shape"):
+                local_energy_check(exts, vels, bad, 0.0, 0.0, 0.2, LOCAL_ENERGY_CONSTANT)
 
     def test_time_grid_mismatch_rejected(self):
         exts, vels, cutoff = single_mode_extension_run(n=64, t_end=0.2, n_snap=3)
