@@ -46,7 +46,6 @@ from .degiorgi import (
 from .oscillation import (
     IterationConfig,
     ParabolicCylinder,
-    holder_estimate,
     oscillation,
     recenter_flow,
     rescale_recenter,

@@ -83,6 +83,8 @@ def choose_delta(rho, eta):
     """
     if not (0.0 < rho <= RHO_CAP):
         raise ValueError(f"rho must lie in (0, {RHO_CAP}]")
+    if np.isnan(eta):
+        raise ValueError("eta must be a number, got nan")
     if eta <= 0.0:
         raise InfeasibleConstants("eta <= 0: no contraction measured")
     if eta >= 1.0:
@@ -136,8 +138,8 @@ class ConstantLedger:
     def all_feasible(self):
         return all(self.feasibility.values())
 
-    def to_json(self, indent=2):
-        return json.dumps(asdict(self), indent=indent)
+    def to_json(self):
+        return json.dumps(asdict(self), indent=2)
 
 
 def ledger_feasibility(L, C, alpha, eta, rho, delta):

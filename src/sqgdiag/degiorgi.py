@@ -173,31 +173,14 @@ def weighted_measure(ext, predicate, eps, mc):
     return _mc_mean(np.where(PREDICATES[predicate](w), pts[2] ** eps, 0.0), mc)
 
 
-def clamp_unit(ext):
-    """Clamp field values to [0, 1] (the isoperimetric normalization)."""
-    return ExtensionField(
-        ext.base_grid,
-        ext.z_levels,
-        np.clip(ext.values, 0.0, 1.0),
-        ext.weight_exponent,
-    )
-
-
-def extension_gradient_squared(ext):
-    """|grad w|^2 on the extension grid, centered differences.
-
-    Horizontal derivatives wrap periodically; the z stencil is one-sided at
-    the first and last level.
-    """
-    return _gradient_squared(ext.values, ext.base_grid.spacing, ext.z_levels)
-
-
 def _gradient_squared(v, h, z):
-    """``extension_gradient_squared`` of an (n_z, rows, columns) array.
+    """|grad v|^2 of an (n_z, rows, columns) array, centered differences.
 
-    The horizontal differences wrap within the array, so on a box cut from
-    the lattice they are those of the lattice only where the box edges are
-    zero (``cutoff_box``).
+    ``h`` is the horizontal spacing and ``z`` the levels of the first axis.
+    The horizontal differences wrap within the array, so they are periodic
+    on the whole lattice, and on a box cut from it they are those of the
+    lattice only where the box edges are zero (``cutoff_box``).  The z
+    stencil is one-sided at the first and last level.
     """
     g1 = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * h)
     g2 = (np.roll(v, -1, axis=2) - np.roll(v, 1, axis=2)) / (2 * h)
@@ -244,7 +227,9 @@ def isoperimetric_check(fields, eps, constant_C, mc):
 
 def _isoperimetric_member(ext, plan, zw, constant_C, mc):
     """One member's ``IsoperimetricResult`` on its lattice's sample plan."""
-    grad_sq = extension_gradient_squared(clamp_unit(ext))
+    grad_sq = _gradient_squared(
+        np.clip(ext.values, 0.0, 1.0), ext.base_grid.spacing, ext.z_levels
+    )
     w = _trilinear(ext.values, plan)
     measures = {
         name: _mc_mean(np.where(PREDICATES[p](w), zw, 0.0), mc)

@@ -160,7 +160,7 @@ class RunReport:
     timings: dict
     passed: bool
 
-    def to_json(self, indent=2):
+    def to_json(self):
         return json.dumps(
             {
                 "config": self.config_echo,
@@ -168,7 +168,7 @@ class RunReport:
                 "timings": self.timings,
                 "passed": self.passed,
             },
-            indent=indent,
+            indent=2,
             default=float,
         )
 
@@ -228,6 +228,8 @@ def simulate(config, out_dir=None):
 
 def load_checkpoints(paths, side_length=2.0 * np.pi):
     """Decode a checkpoint series; grids and alpha must agree."""
+    if not paths:
+        raise ValueError("no checkpoint given")
     history = []
     alpha = None
     for p in paths:

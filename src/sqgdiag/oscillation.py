@@ -16,10 +16,10 @@ argument as measurable diagnostics on simulation output:
 * the zoom-recenter-renormalize step producing the next iterate
   theta_{k+1} = (theta(. + V) - m) / rho^delta on the rescaled cylinder,
   with all bookkeeping bounds re-checked rather than assumed;
-* a Hoelder seminorm estimator and the driver that runs the whole
-  iteration, measuring the per-step oscillation improvement eta and fitting
-  an empirical decay exponent; it stops at the first bookkeeping bound that
-  fails, and ``IterationResult.passed`` is its one verdict.
+* the driver that runs the whole iteration, measuring the per-step
+  oscillation improvement eta and fitting an empirical decay exponent; it
+  stops at the first bookkeeping bound that fails, and
+  ``IterationResult.passed`` is its one verdict.
 
 Every step is zoomed and recentred into one frame: balls about the domain
 centre (``Grid.center``) and time windows that end at t = 1, where
@@ -48,6 +48,8 @@ from .spectral import (
 EDGE_MARGIN = 0.9  # fraction of the half-side inside which bounds are checked
 PER_RING_SAMPLES = 8  # grid nodes per ring at which the slow velocity is bounded
 TIME_TOL = 1e-12  # slack of the time-window rule, for relabelled stamps
+TAIL_CALIBRATION_TIME = 0.1  # snapshot time at which the tail constant is calibrated
+TAIL_SAFETY = 4.0  # headroom of the tail constant over the calibrated ratio
 
 # Frozen output of calibrate_split_bound_constant: the single constant C
 # with sup_B1 |w2| <= -C log(rho) and sup_B1 |w3| <= C rho across the
@@ -81,7 +83,6 @@ def tail_integral(theta):
 
 @dataclass
 class TailEstimate:
-    time: float
     tail_value: float
     bound_basic: float
     bound_improved: float  # inf when not applicable (t <= 1)
@@ -94,18 +95,18 @@ class TailEstimate:
         return bool(ok)
 
 
-def calibrate_tail_constant(histories, l2_initials, calibration_time=0.1, safety=4.0):
-    """Frozen tail constant: safety * worst ratio at the calibration time.
+def calibrate_tail_constant(histories, l2_initials):
+    """Frozen tail constant: TAIL_SAFETY * worst ratio at the calibration time.
 
     histories: iterable of snapshot lists (each a run); the snapshot closest
-    to calibration_time is used per run.
+    to TAIL_CALIBRATION_TIME is used per run.
     """
     worst = 0.0
     for hist, l2i in zip(histories, l2_initials):
         times = np.array([f.time_stamp for f in hist])
-        j = int(np.argmin(np.abs(times - calibration_time)))
+        j = int(np.argmin(np.abs(times - TAIL_CALIBRATION_TIME)))
         worst = max(worst, tail_integral(hist[j]) / l2i)
-    return safety * worst
+    return TAIL_SAFETY * worst
 
 
 def tail_series(history, l2_initial, constant, alpha):
@@ -125,7 +126,6 @@ def tail_series(history, l2_initial, constant, alpha):
         )
         out.append(
             TailEstimate(
-                time=t,
                 tail_value=tail_integral(f),
                 bound_basic=basic,
                 bound_improved=improved,
@@ -152,10 +152,6 @@ class ParabolicCylinder:
     @property
     def t_start(self):
         return 1.0 - self.radius**self.alpha
-
-    def shrunk(self, factor):
-        """Concentric cylinder with radius scaled by ``factor`` <= 1."""
-        return ParabolicCylinder(self.radius * factor, self.alpha)
 
     def window(self, history):
         """The snapshots with t_start <= t <= 1, up to TIME_TOL."""
@@ -392,25 +388,24 @@ class RecenterPath:
         return np.array([x, y])
 
 
-def recenter_flow(w_slow, M, t_start, max_step=None):
+def recenter_flow(w_slow, M, t_start, steps):
     """Integrate V' = M w_slow(V, t) backward from V(1) = 0.
 
     The window ends at t = 1 (normalize_window maps it there), so the path
-    ends at the cylinder centre.  Classical fourth-order one-step method;
-    ``max_step`` defaults to (1 - t_start) / 64.  Returns the sampled path
-    on the uniform integration grid, ascending in time.
+    ends at the cylinder centre.  Classical fourth-order one-step method
+    with ``steps`` uniform steps.  Returns the sampled path on the
+    integration grid, ascending in time.
     """
     span = 1.0 - t_start
     if span <= 0:
         raise ValueError("t_start must precede 1")
-    if max_step is None:
-        max_step = span / 64.0
-    n = max(1, int(np.ceil(span / max_step - 1e-12)))
-    dt = -span / n
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    dt = -span / steps
     ts = [1.0]
     vs = [np.zeros(2)]
     t, v = 1.0, np.zeros(2)
-    for _ in range(n):
+    for _ in range(steps):
         k1 = M * np.asarray(w_slow(v, t))
         k2 = M * np.asarray(w_slow(v + 0.5 * dt * k1, t + 0.5 * dt))
         k3 = M * np.asarray(w_slow(v + 0.5 * dt * k2, t + 0.5 * dt))
@@ -499,41 +494,6 @@ def rescale_recenter(history, cyl, path, m, delta, M_k):
     return new_history, outcome
 
 
-def holder_estimate(theta, delta, min_sep, max_points=10_000):
-    """Hoelder-delta difference quotient maximized over a decimated lattice.
-
-    All pairs of a strided node subset (at most ``max_points`` nodes) with
-    torus distance >= min_sep are scanned; distances use the minimal image.
-    """
-    grid = theta.grid
-    if min_sep < 2.0 * grid.spacing:
-        raise ValueError("min_sep must be at least two grid spacings")
-    stride = 1
-    while (grid.n // stride) ** 2 > max_points:
-        stride *= 2  # power of two keeps the lattice aligned across sizes
-    idx = np.arange(0, grid.n, stride)
-    x = idx * grid.spacing
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=1)
-    vals = theta.values[np.ix_(idx, idx)].ravel()
-    L = grid.side_length
-    best = 0.0
-    chunk = 512
-    for a in range(0, len(pts), chunk):
-        pa = pts[a : a + chunk]
-        va = vals[a : a + chunk]
-        d1 = np.abs(pa[:, None, 0] - pts[None, :, 0])
-        d2 = np.abs(pa[:, None, 1] - pts[None, :, 1])
-        d1 = np.minimum(d1, L - d1)
-        d2 = np.minimum(d2, L - d2)
-        dist = np.hypot(d1, d2)
-        diff = np.abs(va[:, None] - vals[None, :])
-        ok = dist >= min_sep
-        if np.any(ok):
-            best = max(best, float(np.max(diff[ok] / dist[ok] ** delta)))
-    return best
-
-
 # --- the iteration driver ---
 
 
@@ -543,7 +503,6 @@ class OscillationRecord:
     radius: float  # rho^k, the original-frame radius of the produced iterate
     oscillation: float  # osc of the produced iterate over Q_1
     raw_oscillation: float  # oscillation of the original field at this scale
-    recenter_path: RecenterPath
     midrange: float
     M_k: float
     eta: float  # measured per-step improvement 1 - osc(Q_1/2)/osc(Q_1)
@@ -702,7 +661,7 @@ def run_iteration_suite(history, config):
     rho, alpha, M = config.rho, config.alpha, config.M
     sample_pts = _bound_sample_points(grid, config.bound_sample_rings)
     q1 = ParabolicCylinder(1.0, alpha)
-    q_half = q1.shrunk(0.5)
+    q_half = ParabolicCylinder(0.5, alpha)
     flow_cyl = ParabolicCylinder(rho, alpha)
     d1, d2 = grid.displacement(grid.center)
     inside = d1 * d1 + d2 * d2 < 1.0
@@ -746,9 +705,7 @@ def run_iteration_suite(history, config):
             w2_sup = max(w2_sup, s2)
             w3_sup = max(w3_sup, s3)
 
-        path = recenter_flow(
-            w_slow, M_k, flow_cyl.t_start, max_step=rho**alpha / config.ode_step_divisor
-        )
+        path = recenter_flow(w_slow, M_k, flow_cyl.t_start, config.ode_step_divisor)
         containment_ok = path.max_abs + rho <= 0.5 + 1e-9
 
         # midrange over the recentered Q_{1/2}
@@ -769,7 +726,6 @@ def run_iteration_suite(history, config):
                 radius=rho**k,
                 oscillation=produced_osc,
                 raw_oscillation=produced_osc * amplitude,
-                recenter_path=path,
                 midrange=m,
                 M_k=M_k,
                 eta=eta_k,
@@ -810,7 +766,7 @@ def run_iteration_suite(history, config):
     )
 
 
-def normalize_window(history, t_end=None):
+def normalize_window(history, t_end):
     """Rescale a raw history to the normalized iteration setup.
 
     Selects snapshots in (t_end - 1, t_end], relabels times to (0, 1], and
@@ -819,8 +775,6 @@ def normalize_window(history, t_end=None):
     """
     if not history:
         raise ValueError("empty history")
-    if t_end is None:
-        t_end = history[-1].time_stamp
     grid = history[0].grid
     window = [f for f in history if t_end - 1.0 - 1e-9 <= f.time_stamp <= t_end + 1e-9]
     if not window:

@@ -55,6 +55,7 @@ BLOWUP_FACTOR = 10.0
 CONTOUR_POINTS = 32
 AUDIT_REL_TOLERANCE = 1e-6  # per-pair slack of the energy audit, relative to ||theta_l(t1)||^2
 LINF_SLOPE_SLACK = 0.2  # allowed excess of the fitted L-infinity slope over -1/alpha
+L2_MONOTONE_SLACK = 1e-8  # allowed relative growth of the L2 norm between snapshots
 
 
 class BlowUpError(RuntimeError):
@@ -358,7 +359,6 @@ class EnergyLedger:
 class EnergyAuditResult:
     ledger: EnergyLedger
     violations: list  # (level, t1, t2, excess)
-    passed_per_level: dict  # level -> bool
     passed: bool
 
 
@@ -458,9 +458,7 @@ def audit_energy(history, levels, alpha):
     )
 
     violations = []
-    passed_per_level = {}
     for i in range(n_lev):
-        level_ok = True
         for a in range(n_t):
             lhs = energy[i, a + 1 :] + 2.0 * (hdot_acc[i, a + 1 :] - hdot_acc[i, a])
             tol = AUDIT_REL_TOLERANCE * energy[i, a] + 2.0 * (
@@ -469,25 +467,18 @@ def audit_energy(history, levels, alpha):
             rhs = energy[i, a] + tol
             bad = np.where(lhs > rhs)[0]
             for b in bad:
-                level_ok = False
                 violations.append(
                     (levels[i], times[a], times[a + 1 + b], float(lhs[b] - rhs[b]))
                 )
-        passed_per_level[float(levels[i])] = level_ok
-    return EnergyAuditResult(
-        ledger=ledger,
-        violations=violations,
-        passed_per_level=passed_per_level,
-        passed=not violations,
-    )
+    return EnergyAuditResult(ledger=ledger, violations=violations, passed=not violations)
 
 
-def check_l2_monotone(ledger, rel_slack=1e-8):
-    """Thm-style monotonicity of the L2 norm, with per-step relative slack."""
+def check_l2_monotone(ledger):
+    """Thm-style monotonicity of the L2 norm, per-step relative slack L2_MONOTONE_SLACK."""
     l2 = ledger.l2_norms
     if len(l2) == 0:
         raise ValueError("empty ledger")
-    ok = l2[1:] <= l2[:-1] * (1.0 + rel_slack)
+    ok = l2[1:] <= l2[:-1] * (1.0 + L2_MONOTONE_SLACK)
     return bool(np.all(ok))
 
 
@@ -496,7 +487,6 @@ class LinfDecayFit:
     constant: float  # envelope constant sup_t ||theta||_inf t^(1/alpha) / l2(0)
     slope: float  # least-squares slope of log||theta||_inf vs log t
     passed: bool
-    window: tuple
 
 
 def check_linf_decay(ledger, l2_initial, alpha, t_min=0.1):
@@ -516,7 +506,7 @@ def check_linf_decay(ledger, l2_initial, alpha, t_min=0.1):
         raise ValueError("empty fitting window")
     if np.all(ledger.linf_norms[in_window] == 0.0):
         # identically zero solution: the bound holds vacuously
-        return LinfDecayFit(constant=0.0, slope=-np.inf, passed=True, window=(t_min, t_max))
+        return LinfDecayFit(constant=0.0, slope=-np.inf, passed=True)
     sel = in_window & (ledger.linf_norms > 0)
     if sel.sum() < 8 or t_max / max(t_min, 1e-300) < 10.0:
         raise ValueError("fitting window must span at least one decade")
@@ -526,7 +516,7 @@ def check_linf_decay(ledger, l2_initial, alpha, t_min=0.1):
     constant = float(np.max(ratio))
     slope = float(np.polyfit(np.log(tt), np.log(linf), 1)[0])
     passed = np.isfinite(constant) and slope <= -1.0 / alpha + LINF_SLOPE_SLACK
-    return LinfDecayFit(constant=constant, slope=slope, passed=passed, window=(t_min, t_max))
+    return LinfDecayFit(constant=constant, slope=slope, passed=passed)
 
 
 # --- checkpoint format (shared with the run harness) ---

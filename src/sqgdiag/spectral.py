@@ -5,8 +5,8 @@ doubly-periodic grid.  This module owns the grid bookkeeping, the
 package's one half-spectrum transform pair (``rfft2``/``irfft2``), the
 cached per-grid half-spectrum operator (``half_spectrum``) that holds every
 Fourier symbol of the package, the multipliers and norms built on it
-(fractional Laplacian, Riesz velocity, gradient, homogeneous Sobolev
-norms, Parseval sums), and band-limited evaluation of a gridded field at
+(fractional Laplacian, Riesz velocity, homogeneous Sobolev norms,
+Parseval sums), and band-limited evaluation of a gridded field at
 arbitrary uniform lattices (chirp-z on the half spectrum), which the
 oscillation diagnostics use for zooming and recentering.
 
@@ -141,11 +141,11 @@ def irfft2(spec, out=None):
 class HalfSpectrum:
     """Read-only Fourier symbols of one Grid on the rfft2 half spectrum.
 
-    Layout of ``rfft2`` of an (n, n) real array: rows carry the
-    line ``k1`` (FFT order), columns the line ``k2`` = 0 .. n/2.  Holds
-    ``magnitude`` |k|; its distinct values ``radii`` (ascending, radii[0] =
-    0) with ``radii[radius_index] == magnitude``, so radial multipliers are
-    evaluated once per radius and scattered; the 2/3-rule mask ``dealias``;
+    Layout of ``rfft2`` of an (n, n) real array: rows carry k1 (FFT
+    order), columns k2 = 0 .. n/2.  Holds ``magnitude`` |k|; its distinct
+    values ``radii`` (ascending, radii[0] = 0) with ``radii[radius_index]
+    == magnitude``, so radial multipliers are evaluated once per radius and
+    scattered; the 2/3-rule mask ``dealias``;
     the velocity symbols ``riesz_u`` = -i k2/|k| and ``riesz_v`` = i k1/|k|
     (zero at k = 0); the derivative symbols ``dx1`` = i k1 and ``dx2``
     = i k2 as a column and a row; and the column weight ``parseval``.  The
@@ -164,8 +164,6 @@ class HalfSpectrum:
         nz = mag > 0
         inv_mag[nz] = 1.0 / mag[nz]
         cutoff = (2.0 / 3.0) * np.pi * n / grid.side_length
-        self.k1 = k1
-        self.k2 = k2
         self.magnitude = mag
         self.radii = radii
         self.radius_index = index.reshape(mag.shape)
@@ -305,14 +303,6 @@ def l2_norm(field):
     return sobolev_norm(field, 0.0)
 
 
-def gradient(field):
-    """Spectral gradient (d/dx1, d/dx2) of a scalar field."""
-    grid = field.grid
-    op = half_spectrum(grid)
-    spec = rfft2(field.values)
-    return irfft2(op.dx1 * spec), irfft2(op.dx2 * spec)
-
-
 def _zoom_line(c, grid, first, start, step, count, axis):
     """Evaluate sum_m c_m exp(i k_m (start + p*step)) along ``axis``.
 
@@ -356,7 +346,7 @@ def evaluate_on_lattice(field, origin, spacing, shape):
     return _zoom_line(out, grid, 0, origin[1], spacing[1], shape[1], axis=1).real
 
 
-def random_band_limited(grid, k_max_index, seed, amplitude=1.0, time_stamp=0.0):
+def random_band_limited(grid, k_max_index, seed, amplitude=1.0):
     """Random real field with integer modes up to k_max_index per axis.
 
     Coefficients are complex Gaussian, Hermitian-symmetrized, zero mode
@@ -381,4 +371,4 @@ def random_band_limited(grid, k_max_index, seed, amplitude=1.0, time_stamp=0.0):
     peak = np.max(np.abs(values))
     if peak > 0:
         values *= amplitude / peak
-    return ScalarField(grid, values, time_stamp)
+    return ScalarField(grid, values)

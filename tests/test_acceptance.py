@@ -141,7 +141,6 @@ def test_criterion_5_tail_lemma(ensemble):
     constant = calibrate_tail_constant(
         [e["result"].history for e in ensemble],
         [e["l2_initial"] for e in ensemble],
-        calibration_time=0.1,
     )
     ok = True
     worst_basic = 0.0

@@ -11,12 +11,11 @@ from sqgdiag.degiorgi import (
     ISOPERIMETRIC_CONSTANT,
     LOCAL_ENERGY_CONSTANT,
     WeightedRegion,
+    _gradient_squared,
     _sample_plan,
     _trilinear,
     _trilinear_plan,
-    clamp_unit,
     extension_cutoff,
-    extension_gradient_squared,
     interpolate_extension,
     isoperimetric_check,
     isoperimetric_family,
@@ -263,11 +262,16 @@ def trilinear_oracle(values, grid, zl, x1, x2, z):
     return level(zi) * (1 - fz) + level(zi + 1) * fz
 
 
+def clamped_gradient_squared(ext):
+    """|grad w|^2 of the field clamped to [0, 1], as the isoperimetric check takes it."""
+    return _gradient_squared(np.clip(ext.values, 0.0, 1.0), ext.base_grid.spacing, ext.z_levels)
+
+
 class TestSharedTrilinearPlan:
     def test_two_fields_on_one_plan_match_separate_calls(self):
         # points wrap the torus and leave the sampled z-range on both sides
         ext = isoperimetric_family(1, 0.1, 2025)[0]
-        grad = extension_gradient_squared(clamp_unit(ext))
+        grad = clamped_gradient_squared(ext)
         grad_ext = ExtensionField(ext.base_grid, ext.z_levels, grad, 0.1)
         rng = np.random.default_rng(41)
         x1, x2 = rng.uniform(-5.0, 5.0, (2, 5000))
@@ -284,7 +288,7 @@ class TestSharedTrilinearPlan:
         mc = WeightedRegion(sample_count=50_000, seed=43)
         (res,) = isoperimetric_check([ext], 0.0, ISOPERIMETRIC_CONSTANT, mc)
         pts = mc.sample_points()
-        grad = extension_gradient_squared(clamp_unit(ext))
+        grad = clamped_gradient_squared(ext)
         grad_ext = ExtensionField(ext.base_grid, ext.z_levels, grad, 0.0)
         w = interpolate_extension(ext, *pts)
         g = interpolate_extension(grad_ext, *pts)
@@ -345,8 +349,7 @@ def full_lattice_local_energy(history, velocities, cutoff, level, t1, t2):
     cut = np.asarray(cutoff, dtype=float)
     if cut.ndim == 2:
         cut = cut[None, :, :]
-    cut_ext = ExtensionField(grid, z, np.broadcast_to(cut, first.values.shape), eps)
-    grad_eta_sq = extension_gradient_squared(cut_ext)
+    grad_eta_sq = _gradient_squared(np.broadcast_to(cut, first.values.shape), grid.spacing, z)
     series = {k: [] for k in ("grad", "err", "x", "ext", "boundary", "vel")}
     for j in sel:
         psi = np.maximum(history[j].values - level, 0.0)

@@ -427,6 +427,9 @@ class TestCli:
             (["extension-check", "--n", "48"], "grid size"),
             (["isoperimetric", "--count", "-3", "--samples", "2000"], "at least 1"),
             (["isoperimetric", "--count", "0", "--samples", "2000"], "at least 1"),
+            (["diagnose", "--checks", "l2_monotone"], "no checkpoint given"),
+            (["constants", "--L", "0.7", "--C", "1.2", "--alpha", "0.95", "--eta", "nan"],
+             "eta must be a number"),
         ],
     )
     def test_unusable_input_exits_2(self, argv, message, tmp_path, capsys):
@@ -435,7 +438,8 @@ class TestCli:
         code = main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and message in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in err
         assert "Traceback" not in err
 
     def test_extension_check_subcommand(self, capsys, monkeypatch):

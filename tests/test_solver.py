@@ -1,5 +1,6 @@
 """Solver: exact dissipation, advection, energy bookkeeping, checkpoints."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -443,6 +444,23 @@ class TestAuditEnergy:
             scale = np.max(np.abs(expected[term]))
             assert np.max(np.abs(got[term] - expected[term])) <= 1e-13 * scale
 
+    def test_level_set_bump_fails(self, grid, coords):
+        # negative control: a bump added to one interior snapshot raises the
+        # level-set energy there above what the earlier snapshots allow
+        theta = random_band_limited(grid, 5, [27, 0, 0])
+        cfg = SolverConfig(alpha=0.9, dt=5e-3, t_end=0.5)
+        res = run(theta, cfg, snapshot_times=np.linspace(0, 0.5, 11))
+        levels = np.linspace(theta.values.min(), theta.values.max(), 16)
+        x1, x2 = coords
+        c = grid.center
+        bump = 0.5 * np.exp(-((x1 - c[0]) ** 2 + (x2 - c[1]) ** 2))
+        history = list(res.history)
+        bumped = history[5]
+        history[5] = ScalarField(grid, bumped.values + bump, bumped.time_stamp)
+        audit = audit_energy(history, levels, 0.9)
+        assert not audit.passed
+        assert bumped.time_stamp in {t2 for _, _, t2, _ in audit.violations}
+
     def test_no_levels_keeps_the_norms(self, grid):
         theta = random_band_limited(grid, 5, [27, 0, 0])
         cfg = SolverConfig(alpha=0.9, dt=5e-3, t_end=0.2)
@@ -477,6 +495,17 @@ class TestDecayChecks:
         assert check_l2_monotone(audit.ledger)
         assert np.all(np.diff(audit.ledger.l2_norms) < 0)
 
+    def test_l2_monotone_fails_on_raised_norm(self, grid):
+        # negative control on a real ledger: one norm raised 1e-6 relative
+        # above its predecessor fails; within the 1e-8 slack it passes
+        cfg = SolverConfig(alpha=1.0, dt=2e-3, t_end=0.5)
+        res = run(single_mode(grid), cfg, snapshot_times=np.linspace(0, 0.5, 6))
+        ledger = audit_energy(res.history, [], 1.0).ledger
+        for rise, expected in ((1e-6, False), (1e-9, True)):
+            l2 = ledger.l2_norms.copy()
+            l2[3] = l2[2] * (1.0 + rise)
+            assert check_l2_monotone(dataclasses.replace(ledger, l2_norms=l2)) is expected
+
     def test_l2_monotone_zero(self):
         ledger = EnergyLedger(
             times=np.array([0.0, 1.0]),
@@ -509,6 +538,26 @@ class TestDecayChecks:
             audit.ledger.linf_norms[j] * times[j] / l2i, rel=1e-6
         )
 
+    def test_linf_decay_fails_without_dissipation(self, monkeypatch):
+        # negative control: the run whose linf_decay passes in
+        # test_full_toggles_pass, with the dissipation rate zeroed, keeps
+        # its maximum
+        original = SqgSolver.__init__
+
+        def inviscid(self, grid, config):
+            original(self, grid, config)
+            self.rate = np.zeros_like(self.rate)
+
+        monkeypatch.setattr(SqgSolver, "__init__", inviscid)
+        grid = Grid(64)
+        theta = random_band_limited(grid, 6, [5, 0, 0])
+        cfg = SolverConfig(alpha=1.0, dt=2e-3, t_end=2.0)
+        res = run(theta, cfg, snapshot_times=np.linspace(0, 2.0, 21))
+        ledger = audit_energy(res.history, [], 1.0).ledger
+        fit = check_linf_decay(ledger, l2_norm(theta), 1.0, t_min=0.1)
+        assert not fit.passed
+        assert fit.slope > -1.0 + solver_mod.LINF_SLOPE_SLACK
+
     def test_linf_decay_zero_field_vacuous(self):
         ledger = EnergyLedger(
             times=np.linspace(0.01, 2.0, 50),
@@ -533,7 +582,7 @@ class TestDecayChecks:
 
 class TestCheckpoint:
     def test_round_trip(self, grid, tmp_path):
-        theta = random_band_limited(grid, 5, [28, 0, 0], time_stamp=1.25)
+        theta = ScalarField(grid, random_band_limited(grid, 5, [28, 0, 0]).values, 1.25)
         path = tmp_path / "snap.sqgd"
         write_checkpoint(path, theta, alpha=0.93)
         field, alpha, version = read_checkpoint(path)
@@ -565,7 +614,7 @@ class TestCheckpoint:
 
     @staticmethod
     def small_checkpoint(path):
-        theta = random_band_limited(Grid(8), 2, [30, 0, 0], time_stamp=0.5)
+        theta = ScalarField(Grid(8), random_band_limited(Grid(8), 2, [30, 0, 0]).values, 0.5)
         write_checkpoint(path, theta, alpha=0.9)
         return path.read_bytes()
 
