@@ -14,7 +14,6 @@ from sqgdiag import (
     audit_energy,
     check_l2_monotone,
     check_linf_decay,
-    l2_norm,
     random_band_limited,
     run,
 )
@@ -31,18 +30,18 @@ print(f"Linf: {result.linf_norms[0]:.4f} -> {result.linf_norms[-1]:.4f}")
 levels = np.linspace(theta0.values.min(), theta0.values.max(), 16)
 audit = audit_energy(result.history, levels, config.alpha)
 print(f"\nlevel-set energy inequality over {len(levels)} levels and "
-      f"{len(audit.ledger.times)} snapshots: "
+      f"{len(result.history)} snapshots: "
       f"{'PASS' if audit.passed else f'{len(audit.violations)} violations'}")
 
-print("monotone L2:", "PASS" if check_l2_monotone(audit.ledger) else "FAIL")
+print("monotone L2:", "PASS" if check_l2_monotone(result.history) else "FAIL")
 
-fit = check_linf_decay(audit.ledger, l2_norm(theta0), config.alpha, t_min=0.1)
+fit = check_linf_decay(result.history, config.alpha)
 print(f"Linf decay fit on [0.1, 2]: envelope constant {fit.constant:.3f}, "
       f"log-log slope {fit.slope:.2f} (pass needs <= {-1/config.alpha + 0.2:.2f}): "
       f"{'PASS' if fit.passed else 'FAIL'}")
 
 # the accumulated dissipation per level, at the final time
-acc = audit.ledger.hdot_alpha_accumulated[:, -1]
+acc = audit.hdot_alpha_accumulated[:, -1]
 print("\nper-level accumulated dissipation (first/middle/last level):")
 for i in (0, len(levels) // 2, len(levels) - 1):
     print(f"  lambda = {levels[i]:+.3f}: 2 * int ||theta_l||^2 dt = {2 * acc[i]:.4f}")

@@ -18,7 +18,6 @@ from .spectral import (
 )
 from .solver import (
     BlowUpError,
-    EnergyLedger,
     SolverConfig,
     audit_energy,
     check_l2_monotone,

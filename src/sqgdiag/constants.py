@@ -79,16 +79,16 @@ def choose_delta(rho, eta):
     """Largest delta with rho^delta >= max(1 - eta, 2/3).
 
     eta <= 0 means no measured oscillation improvement, so no positive
-    exponent exists.  The returned value also satisfies rho^(-delta) <= 3/2.
+    exponent exists.  A measured eta = 1 - osc(Q_1/2)/osc(Q_1) is at most
+    1, so a larger or non-finite eta is a ValueError.  The returned value
+    also satisfies rho^(-delta) <= 3/2.
     """
     if not (0.0 < rho <= RHO_CAP):
         raise ValueError(f"rho must lie in (0, {RHO_CAP}]")
-    if np.isnan(eta):
-        raise ValueError("eta must be a number, got nan")
+    if not (np.isfinite(eta) and eta <= 1.0):
+        raise ValueError(f"eta must be a number at most 1, got {eta}")
     if eta <= 0.0:
         raise InfeasibleConstants("eta <= 0: no contraction measured")
-    if eta >= 1.0:
-        eta = 1.0 - 1e-15
     target = max(1.0 - eta, OSC_FLOOR)
     delta = np.log(target) / np.log(rho)
     assert delta > 0.0

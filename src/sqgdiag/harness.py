@@ -44,7 +44,7 @@ from .spectral import (
     l2_norm,
     random_band_limited,
 )
-from .oscillation import calibrate_tail_constant, tail_series
+from .oscillation import TAIL_CONSTANT, tail_series
 
 DIAGNOSTIC_NAMES = ("l2_monotone", "energy_audit", "linf_decay", "tail")
 INITIAL_CONDITIONS = ("single_mode", "random_band_limited", "file")
@@ -247,8 +247,9 @@ def load_checkpoints(paths, side_length=2.0 * np.pi):
 def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
     """Fan out the enabled diagnostics over a checkpoint series.
 
-    Each toggle contributes exactly one report section; the report passes
-    iff every enabled check passes.
+    Each toggle computes its own section from the snapshots; the energy
+    audit runs only for ``energy_audit``, and only it needs uniformly spaced
+    snapshots.  The report passes iff every enabled check passes.
     """
     for t in toggles:
         if t not in DIAGNOSTIC_NAMES:
@@ -256,55 +257,44 @@ def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
     t0 = time.perf_counter()
     history, alpha = load_checkpoints(paths, side_length=side_length)
     sections = []
-
-    if toggles:
-        theta0 = history[0]
-        l2_initial = l2_norm(theta0)
-        levels = np.linspace(theta0.values.min(), theta0.values.max(), 16)
-        audit = None
-        if "energy_audit" in toggles or "l2_monotone" in toggles or "linf_decay" in toggles:
-            # l2_monotone and linf_decay read only the ledger's norms
-            audit_levels = levels if "energy_audit" in toggles else []
-            audit = audit_energy(history, audit_levels, alpha)
-        for name in toggles:
-            if name == "energy_audit":
+    for name in toggles:
+        if name == "l2_monotone":
+            sections.append({"name": name, "passed": check_l2_monotone(history)})
+        elif name == "energy_audit":
+            theta0 = history[0]
+            levels = np.linspace(theta0.values.min(), theta0.values.max(), 16)
+            audit = audit_energy(history, levels, alpha)
+            sections.append(
+                {
+                    "name": name,
+                    "passed": audit.passed,
+                    "levels": [float(v) for v in levels],
+                    "violations": audit.violations[:20],
+                }
+            )
+        elif name == "linf_decay":
+            try:
+                fit = check_linf_decay(history, alpha)
                 sections.append(
                     {
                         "name": name,
-                        "passed": audit.passed,
-                        "levels": [float(v) for v in levels],
-                        "violations": audit.violations[:20],
+                        "passed": bool(fit.passed),
+                        "constant": fit.constant,
+                        "slope": fit.slope,
                     }
                 )
-            elif name == "l2_monotone":
-                ok = check_l2_monotone(audit.ledger)
-                sections.append({"name": name, "passed": bool(ok)})
-            elif name == "linf_decay":
-                try:
-                    fit = check_linf_decay(audit.ledger, l2_initial, alpha)
-                    sections.append(
-                        {
-                            "name": name,
-                            "passed": bool(fit.passed),
-                            "constant": fit.constant,
-                            "slope": fit.slope,
-                        }
-                    )
-                except ValueError as exc:
-                    sections.append({"name": name, "passed": False, "error": str(exc)})
-            elif name == "tail":
-                constant = calibrate_tail_constant([history], [l2_initial])
-                series = tail_series(history, l2_initial, constant, alpha)
-                sections.append(
-                    {
-                        "name": name,
-                        "passed": bool(all(e.passed for e in series)),
-                        "constant": constant,
-                        "worst_ratio": max(
-                            e.tail_value / e.bound_basic for e in series
-                        ),
-                    }
-                )
+            except ValueError as exc:
+                sections.append({"name": name, "passed": False, "error": str(exc)})
+        elif name == "tail":
+            series = tail_series(history, TAIL_CONSTANT, alpha)
+            sections.append(
+                {
+                    "name": name,
+                    "passed": bool(all(e.passed for e in series)),
+                    "constant": TAIL_CONSTANT,
+                    "worst_ratio": max(e.tail_value / e.bound_basic for e in series),
+                }
+            )
 
     passed = all(s["passed"] for s in sections)
     report = RunReport(

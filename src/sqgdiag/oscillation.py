@@ -41,6 +41,7 @@ from .spectral import (
     ScalarField,
     evaluate_on_lattice,
     irfft2,
+    l2_norm,
     random_band_limited,
     rfft2,
 )
@@ -50,6 +51,12 @@ PER_RING_SAMPLES = 8  # grid nodes per ring at which the slow velocity is bounde
 TIME_TOL = 1e-12  # slack of the time-window rule, for relabelled stamps
 TAIL_CALIBRATION_TIME = 0.1  # snapshot time at which the tail constant is calibrated
 TAIL_SAFETY = 4.0  # headroom of the tail constant over the calibrated ratio
+
+# Frozen output of calibrate_tail_constant (2.4640220359057112, rounded up)
+# on the declared family, whose seeds are disjoint from the acceptance
+# seeds 100-119: random_band_limited(Grid(256), 8, [s, 0, 0]) for s in
+# 200..219, run at alpha (0.9, 0.95, 1.0)[s % 3] with dt = 4e-3.
+TAIL_CONSTANT = 2.47
 
 # Frozen output of calibrate_split_bound_constant: the single constant C
 # with sup_B1 |w2| <= -C log(rho) and sup_B1 |w3| <= C rho across the
@@ -95,42 +102,34 @@ class TailEstimate:
         return bool(ok)
 
 
-def calibrate_tail_constant(histories, l2_initials):
-    """Frozen tail constant: TAIL_SAFETY * worst ratio at the calibration time.
+def calibrate_tail_constant(histories):
+    """TAIL_SAFETY * worst ratio tail / ||theta_0||_L2 at the calibration time.
 
-    histories: iterable of snapshot lists (each a run); the snapshot closest
-    to TAIL_CALIBRATION_TIME is used per run.
+    histories: iterable of snapshot lists (each a run, theta_0 its first
+    snapshot); the snapshot closest to TAIL_CALIBRATION_TIME is used per
+    run.  TAIL_CONSTANT freezes this number on its declared family.
     """
     worst = 0.0
-    for hist, l2i in zip(histories, l2_initials):
+    for hist in histories:
         times = np.array([f.time_stamp for f in hist])
         j = int(np.argmin(np.abs(times - TAIL_CALIBRATION_TIME)))
-        worst = max(worst, tail_integral(hist[j]) / l2i)
+        worst = max(worst, tail_integral(hist[j]) / l2_norm(hist[0]))
     return TAIL_SAFETY * worst
 
 
-def tail_series(history, l2_initial, constant, alpha):
+def tail_series(history, constant, alpha):
     """TailEstimate per snapshot with both lemma bounds attached.
 
-    bound_basic = C ||theta_0||_L2 for all t; for t > 1 additionally
-    bound_improved = C (1 + log t) t^(-alpha) ||theta_0||_L2.
+    With theta_0 the first snapshot, bound_basic = C ||theta_0||_L2 for all
+    t; for t > 1 additionally bound_improved = C (1 + log t) t^(-alpha)
+    ||theta_0||_L2.
     """
+    l2_0 = l2_norm(history[0])
     out = []
     for f in history:
         t = f.time_stamp
-        basic = constant * l2_initial
-        improved = (
-            constant * (1.0 + np.log(t)) * t ** (-alpha) * l2_initial
-            if t > 1.0
-            else np.inf
-        )
-        out.append(
-            TailEstimate(
-                tail_value=tail_integral(f),
-                bound_basic=basic,
-                bound_improved=improved,
-            )
-        )
+        improved = constant * (1.0 + np.log(t)) * t ** (-alpha) * l2_0 if t > 1.0 else np.inf
+        out.append(TailEstimate(tail_integral(f), constant * l2_0, improved))
     return out
 
 
@@ -279,18 +278,6 @@ class VelocitySplit:
         if not self.far_empty:
             self.w_bar = _kernel_sum(self.theta.values, d1c, d2c, self._far, grid.spacing)
 
-    def _node_index(self, point):
-        grid = self.theta.grid
-        h = grid.spacing
-        L = grid.side_length
-        i = int(round(point[0] / h)) % grid.n
-        j = int(round(point[1] / h)) % grid.n
-        d1 = (i * h - point[0] + 0.5 * L) % L - 0.5 * L
-        d2 = (j * h - point[1] + 0.5 * L) % L - 0.5 * L
-        if abs(d1) > 1e-6 * h or abs(d2) > 1e-6 * h:
-            raise ValueError("node sums require grid-node targets")
-        return i, j
-
     def w2(self, point):
         grid = self.theta.grid
         d1, d2 = grid.displacement(point)
@@ -308,8 +295,8 @@ class VelocitySplit:
         """w2 + w3: the continuous-in-x components driving the flow ODE."""
         return self.w2(point) + self.w3(point)
 
-    def _node_sums(self, region, points):
-        """_kernel_sum over ``region`` at each grid-node point, shape (k, 2).
+    def _node_sums(self, region, nodes):
+        """_kernel_sum over ``region`` at each (i, j) grid node, shape (k, 2).
 
         One rfft2 of theta * 1_region and two irfft2 against the cached
         kernel spectrum give the sum at every node; the kernel holds the
@@ -319,17 +306,17 @@ class VelocitySplit:
         k1, k2 = _kernel_spectrum(self.theta.grid)
         c1 = irfft2(spec * np.conj(k1))
         c2 = irfft2(spec * np.conj(k2))
-        return np.array([(c1[ij], c2[ij]) for ij in map(self._node_index, points)])
+        return np.array([(c1[ij], c2[ij]) for ij in nodes])
 
-    def sup_slow_components(self, points):
-        """(sup |w2|, sup |w3|) over the given grid nodes.
+    def sup_slow_components(self, nodes):
+        """(sup |w2|, sup |w3|) over the grid nodes given as (i, j) indices.
 
-        Non-node points raise ValueError; off-grid values come from w2/w3.
+        Node (i, j) is the point (i h, j h); off-grid values come from w2/w3.
         """
-        s2 = float(np.max(np.hypot(*self._node_sums(self._annulus, points).T)))
+        s2 = float(np.max(np.hypot(*self._node_sums(self._annulus, nodes).T)))
         if self.far_empty:
             return s2, 0.0
-        w3 = self._node_sums(self._far, points) - self.w_bar
+        w3 = self._node_sums(self._far, nodes) - self.w_bar
         return s2, float(np.max(np.hypot(*w3.T)))
 
 
@@ -588,25 +575,18 @@ def iteration_snapshot_times(t_end, rho, alpha, steps, per_window=12):
 def _bound_sample_points(grid, rings):
     """Grid nodes near concentric rings in B_1 about the domain centre.
 
-    PER_RING_SAMPLES nodes per ring, plus the node nearest the centre,
-    deduplicated.
+    PER_RING_SAMPLES nodes per ring, plus the node nearest the centre, as
+    sorted unique (i, j) indices.
     """
     h = grid.spacing
     center = grid.center
-    pts = [
-        (round(center[0] / h) * h % grid.side_length,
-         round(center[1] / h) * h % grid.side_length)
-    ]
+    pts = [center]
     for q in range(1, rings + 1):
         rad = q / (rings + 1)
         for a in range(PER_RING_SAMPLES):
             ang = 2 * np.pi * a / PER_RING_SAMPLES
-            p = (center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang))
-            pts.append(
-                (round(p[0] / h) * h % grid.side_length,
-                 round(p[1] / h) * h % grid.side_length)
-            )
-    return sorted(set(pts))
+            pts.append((center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang)))
+    return sorted({(round(p[0] / h) % grid.n, round(p[1] / h) % grid.n) for p in pts})
 
 
 def _slow_evaluator(window, rho):

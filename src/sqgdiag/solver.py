@@ -27,11 +27,12 @@ The dissipation seminorm has order alpha/2, i.e. half the order of the
 dissipation operator: the exact rate of L^2 decay is the pairing
 int theta_l * Lambda^alpha theta dx, which dominates the Hdot^(alpha/2)
 seminorm squared of theta_l but not the Hdot^alpha one (the order-alpha
-variant is violated already by theta = sin(2 x1) at level 0).  The ledger
+variant is violated already by theta = sin(2 x1) at level 0).  The audit
 records the pairing as well, since for smooth solutions the L^2 balance
 closes exactly against it.  The seminorm and the pairing are Parseval sums
 on the half spectrum (one rfft2 per snapshot and one per level); the energy
-is the physical sum.
+is the physical sum.  The audit needs uniformly spaced snapshots; the L2 and
+L-infinity decay checks read their norms from the snapshots alone.
 """
 
 import struct
@@ -45,6 +46,7 @@ from .spectral import (
     ScalarField,
     half_spectrum,
     irfft2,
+    l2_norm,
     parseval_sum,
     require_mean_zero,
     rfft2,
@@ -56,6 +58,7 @@ CONTOUR_POINTS = 32
 AUDIT_REL_TOLERANCE = 1e-6  # per-pair slack of the energy audit, relative to ||theta_l(t1)||^2
 LINF_SLOPE_SLACK = 0.2  # allowed excess of the fitted L-infinity slope over -1/alpha
 L2_MONOTONE_SLACK = 1e-8  # allowed relative growth of the L2 norm between snapshots
+LINF_FIT_START = 0.1  # first time of the L-infinity decay fit
 
 
 class BlowUpError(RuntimeError):
@@ -328,38 +331,32 @@ def run(theta0, config, snapshot_times=None):
 
 
 @dataclass
-class EnergyLedger:
-    """Time series of norms and accumulated dissipation per level.
+class EnergyAuditResult:
+    """Accumulated dissipation per level and the audit's verdict.
 
     ``hdot_alpha_accumulated[i, j]`` is the trapezoidal time integral up to
-    times[j] of the squared Hdot^(alpha/2) seminorm of (theta - levels[i])_+,
-    the dissipation seminorm of the order-alpha equation.  ``pairing_
-    accumulated`` integrates the exact dissipation pairing
-    int (theta - level)_+ Lambda^alpha theta dx, against which the L^2
-    balance of smooth solutions closes as an identity.
+    the j-th snapshot of the squared Hdot^(alpha/2) seminorm of
+    (theta - levels[i])_+, the dissipation seminorm of the order-alpha
+    equation.  ``pairing_accumulated`` integrates the exact dissipation
+    pairing int (theta - level)_+ Lambda^alpha theta dx, against which the
+    L^2 balance of smooth solutions closes as an identity.
     """
 
-    times: np.ndarray
-    l2_norms: np.ndarray
-    linf_norms: np.ndarray
-    levels: np.ndarray
     hdot_alpha_accumulated: np.ndarray
     pairing_accumulated: np.ndarray
     quad_allowance: np.ndarray  # same layout as hdot_alpha_accumulated
-
-    def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.l2_norms) == len(self.linf_norms) == n):
-            raise ValueError("ledger arrays must share length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-
-@dataclass
-class EnergyAuditResult:
-    ledger: EnergyLedger
     violations: list  # (level, t1, t2, excess)
     passed: bool
+
+
+def _snapshot_times(history):
+    """The snapshots' times; they must increase strictly."""
+    if len(history) == 0:
+        raise ValueError("empty history")
+    times = np.array([f.time_stamp for f in history])
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("snapshot times must be strictly increasing")
+    return times
 
 
 def _cumulative_trapezoid(values, dt):
@@ -393,21 +390,18 @@ def level_terms(field, levels, alpha):
 def audit_energy(history, levels, alpha):
     """Check the level-set energy inequality on every snapshot pair.
 
-    history must be uniformly sampled in time.  The tolerance per pair is
-    AUDIT_REL_TOLERANCE * ||theta_l(t1)||^2 plus a trapezoid-curvature
-    allowance estimated from second differences of the dissipation
-    integrand.
+    history must be sampled at strictly increasing, uniformly spaced times.
+    The tolerance per pair is AUDIT_REL_TOLERANCE * ||theta_l(t1)||^2 plus
+    a trapezoid-curvature allowance estimated from second differences of
+    the dissipation integrand.  The result's arrays have one row per level
+    and one column per snapshot.
     """
-    if len(history) == 0:
-        raise ValueError("empty history")
-    times = np.array([f.time_stamp for f in history])
+    times = _snapshot_times(history)
     if len(times) > 2:
         gaps = np.diff(times)
         if np.max(np.abs(gaps - gaps[0])) > 1e-9 * max(gaps[0], 1e-30):
             raise ValueError("audit_energy requires uniform snapshot intervals")
     dt = times[1] - times[0] if len(times) > 1 else 0.0
-    grid = history[0].grid
-    h2 = grid.spacing**2
     levels = np.asarray(levels, dtype=float)
 
     n_lev, n_t = len(levels), len(times)
@@ -445,18 +439,6 @@ def audit_energy(history, levels, alpha):
             panel_err = QUAD_SAFETY * dt * dt / 12.0 * np.maximum(smeared, model_floor)
             allowance[i, 1:] = np.cumsum(panel_err)
 
-    l2s = np.array([np.sqrt(np.sum(f.values**2) * h2) for f in history])
-    linfs = np.array([float(np.max(np.abs(f.values))) for f in history])
-    ledger = EnergyLedger(
-        times=times,
-        l2_norms=l2s,
-        linf_norms=linfs,
-        levels=levels,
-        hdot_alpha_accumulated=hdot_acc,
-        pairing_accumulated=pair_acc,
-        quad_allowance=allowance,
-    )
-
     violations = []
     for i in range(n_lev):
         for a in range(n_t):
@@ -470,14 +452,24 @@ def audit_energy(history, levels, alpha):
                 violations.append(
                     (levels[i], times[a], times[a + 1 + b], float(lhs[b] - rhs[b]))
                 )
-    return EnergyAuditResult(ledger=ledger, violations=violations, passed=not violations)
+    return EnergyAuditResult(
+        hdot_alpha_accumulated=hdot_acc,
+        pairing_accumulated=pair_acc,
+        quad_allowance=allowance,
+        violations=violations,
+        passed=not violations,
+    )
 
 
-def check_l2_monotone(ledger):
-    """Thm-style monotonicity of the L2 norm, per-step relative slack L2_MONOTONE_SLACK."""
-    l2 = ledger.l2_norms
-    if len(l2) == 0:
-        raise ValueError("empty ledger")
+def check_l2_monotone(history):
+    """Thm-style monotonicity of the L2 norm over the snapshots.
+
+    Each snapshot's L2 norm, the physical sum sqrt(sum theta^2 h^2), may
+    exceed its predecessor's by the relative slack L2_MONOTONE_SLACK.
+    """
+    _snapshot_times(history)
+    h2 = history[0].grid.spacing**2
+    l2 = np.array([np.sqrt(np.sum(f.values**2) * h2) for f in history])
     ok = l2[1:] <= l2[:-1] * (1.0 + L2_MONOTONE_SLACK)
     return bool(np.all(ok))
 
@@ -489,30 +481,30 @@ class LinfDecayFit:
     passed: bool
 
 
-def check_linf_decay(ledger, l2_initial, alpha, t_min=0.1):
-    """Fit the L-infinity decay over [t_min, last ledger time], test the rate.
+def check_linf_decay(history, alpha):
+    """Fit the L-infinity decay from LINF_FIT_START to the last snapshot.
 
     The reported constant is the envelope sup over the window of
-    ||theta(t)||_inf * t^(1/alpha) / l2_initial, which bounds the ratio by
-    construction; the pass criterion is that the fitted log-log slope is at
-    most -1/alpha + LINF_SLOPE_SLACK (decay at least as fast as
-    t^(-1/alpha); faster decay, e.g. the eventually exponential torus
-    decay, passes).
+    ||theta(t)||_inf * t^(1/alpha) / ||theta_0||_L2, with theta_0 the
+    first snapshot, which bounds the ratio by construction; the pass
+    criterion is that the fitted log-log slope of max|theta| is at most
+    -1/alpha + LINF_SLOPE_SLACK (decay at least as fast as t^(-1/alpha);
+    faster decay, e.g. the eventually exponential torus decay, passes).
     """
-    t = ledger.times
-    t_max = t[-1]
-    in_window = t >= t_min
+    t = _snapshot_times(history)
+    linf_norms = np.array([float(np.max(np.abs(f.values))) for f in history])
+    in_window = t >= LINF_FIT_START
     if not np.any(in_window):
         raise ValueError("empty fitting window")
-    if np.all(ledger.linf_norms[in_window] == 0.0):
+    if np.all(linf_norms[in_window] == 0.0):
         # identically zero solution: the bound holds vacuously
         return LinfDecayFit(constant=0.0, slope=-np.inf, passed=True)
-    sel = in_window & (ledger.linf_norms > 0)
-    if sel.sum() < 8 or t_max / max(t_min, 1e-300) < 10.0:
+    sel = in_window & (linf_norms > 0)
+    if sel.sum() < 8 or t[-1] / LINF_FIT_START < 10.0:
         raise ValueError("fitting window must span at least one decade")
     tt = t[sel]
-    linf = ledger.linf_norms[sel]
-    ratio = linf * tt ** (1.0 / alpha) / l2_initial
+    linf = linf_norms[sel]
+    ratio = linf * tt ** (1.0 / alpha) / l2_norm(history[0])
     constant = float(np.max(ratio))
     slope = float(np.polyfit(np.log(tt), np.log(linf), 1)[0])
     passed = np.isfinite(constant) and slope <= -1.0 / alpha + LINF_SLOPE_SLACK

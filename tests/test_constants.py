@@ -71,6 +71,16 @@ class TestChooseDelta:
         delta = choose_delta(1.0 / 16.0, 0.999)
         assert delta == pytest.approx(np.log(2.0 / 3.0) / np.log(1.0 / 16.0), rel=1e-12)
 
+    def test_eta_above_one_rejected(self):
+        # a measured eta = 1 - osc(Q_1/2)/osc(Q_1) is at most 1; eta = 1
+        # (zero oscillation on Q_1/2) still builds a ledger
+        floor = np.log(2.0 / 3.0) / np.log(1.0 / 16.0)
+        assert choose_delta(1.0 / 16.0, 1.0) == pytest.approx(floor, rel=1e-12)
+        assert build_ledger(L=0.7, C=1.2, alpha=0.95, eta=1.0, M=1.0).all_feasible()
+        for eta in (1.0 + 1e-12, 1.5, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="at most 1"):
+                choose_delta(1.0 / 16.0, eta)
+
     def test_no_improvement_infeasible(self):
         with pytest.raises(InfeasibleConstants):
             choose_delta(1.0 / 16.0, 0.0)

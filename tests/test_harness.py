@@ -300,9 +300,9 @@ class TestDiagnose:
         report = diagnose(paths, ["l2_monotone"], config=config)
         assert len(report.sections) == 1
 
-    def test_norm_checks_run_the_audit_without_levels(self, config, monkeypatch):
-        # l2_monotone reads only the ledger's norms, so the 16 levels are
-        # audited only when energy_audit is requested
+    def test_decay_checks_do_not_run_the_audit(self, config, monkeypatch):
+        # l2_monotone, linf_decay and tail read the snapshots; the 16-level
+        # audit runs only when energy_audit is requested
         paths, _ = simulate(config)
         seen = []
 
@@ -311,16 +311,15 @@ class TestDiagnose:
             return audit_energy(history, levels, alpha)
 
         monkeypatch.setattr(harness_mod, "audit_energy", recording)
-        report = diagnose(paths, ("l2_monotone",), config=config)
-        assert seen == [0]
-        history, alpha = harness_mod.load_checkpoints(paths)
-        levels = np.linspace(history[0].values.min(), history[0].values.max(), 16)
-        full = audit_energy(history, levels, alpha)
-        assert report.sections == [
-            {"name": "l2_monotone", "passed": check_l2_monotone(full.ledger)}
-        ]
+        report = diagnose(paths, ("l2_monotone", "linf_decay", "tail"), config=config)
+        assert seen == []
+        history, _ = harness_mod.load_checkpoints(paths)
+        assert report.sections[0] == {
+            "name": "l2_monotone", "passed": check_l2_monotone(history)
+        }
+        assert [s["name"] for s in report.sections] == ["l2_monotone", "linf_decay", "tail"]
         diagnose(paths, ("l2_monotone", "energy_audit"), config=config)
-        assert seen == [0, 16]
+        assert seen == [16]
 
     def test_mismatched_checkpoints_rejected(self, config, tmp_path):
         paths, _ = simulate(config)
@@ -374,6 +373,26 @@ class TestCli:
         checkpoints = sorted(str(p) for p in out_dir.glob("checkpoint_*.sqgd"))
         assert main(["diagnose", *checkpoints, "--checks", "energy_audit", "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[-2:] == ["section,passed", "energy_audit,1"]
+
+    def test_decay_checks_take_a_short_last_gap(self, tmp_path, capsys):
+        # t_end = 1.05 appends a 0.05 gap to the 0.1 schedule: only the
+        # energy audit needs uniform snapshot intervals
+        cfg = RunConfig(
+            n=32, alpha=1.0, dt=5e-3, t_end=1.05, seed=3,
+            initial_condition="random_band_limited", snapshot_interval=0.1,
+            output_dir=str(tmp_path / "out"),
+        )
+        paths, _ = simulate(cfg)
+        capsys.readouterr()
+        code = main(["diagnose", *paths, "--checks", "l2_monotone,linf_decay,tail",
+                     "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "l2_monotone,1", "linf_decay,1", "tail,1"
+        ]
+        assert main(["diagnose", *paths, "--checks", "energy_audit"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: audit_energy requires uniform snapshot intervals\n"
 
     def test_constants_subcommand_emits_json(self, capsys):
         code = main(
@@ -430,6 +449,10 @@ class TestCli:
             (["diagnose", "--checks", "l2_monotone"], "no checkpoint given"),
             (["constants", "--L", "0.7", "--C", "1.2", "--alpha", "0.95", "--eta", "nan"],
              "eta must be a number"),
+            (["constants", "--L", "0.7", "--C", "1.2", "--alpha", "0.95", "--eta", "inf"],
+             "eta must be a number at most 1"),
+            (["constants", "--L", "0.7", "--C", "1.2", "--alpha", "0.95", "--eta", "1.5"],
+             "eta must be a number at most 1"),
         ],
     )
     def test_unusable_input_exits_2(self, argv, message, tmp_path, capsys):

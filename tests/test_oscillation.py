@@ -13,10 +13,12 @@ from sqgdiag.oscillation import (
     ParabolicCylinder,
     RecenterPath,
     SPLIT_BOUND_CONSTANT,
+    TAIL_CONSTANT,
     VelocitySplit,
     _bound_sample_points,
     admissible_field,
     calibrate_split_bound_constant,
+    calibrate_tail_constant,
     iteration_snapshot_times,
     normalize_window,
     oscillation,
@@ -28,7 +30,7 @@ from sqgdiag.oscillation import (
     tail_truncation_radius,
 )
 from sqgdiag.solver import SolverConfig, run
-from sqgdiag.spectral import Grid, ScalarField, random_band_limited, riesz_velocity
+from sqgdiag.spectral import Grid, ScalarField, l2_norm, random_band_limited, riesz_velocity
 
 # the package re-exports the function ``oscillation`` under the module's name
 oscillation_module = importlib.import_module("sqgdiag.oscillation")
@@ -65,22 +67,30 @@ class TestTailIntegral:
         g = Grid(128, 4 * np.pi)
         theta0 = random_band_limited(g, 5, [41, 0, 0])
         cfg = SolverConfig(alpha=0.95, dt=5e-3, t_end=1.5)
-        res = run(theta0, cfg, snapshot_times=np.linspace(0.1, 1.5, 15))
-        from sqgdiag.spectral import l2_norm
-        from sqgdiag.oscillation import calibrate_tail_constant
-
-        l2i = l2_norm(theta0)
-        constant = calibrate_tail_constant([res.history], [l2i])
-        series = tail_series(res.history, l2i, constant, 0.95)
+        res = run(theta0, cfg, snapshot_times=np.linspace(0.0, 1.5, 16))
+        series = tail_series(res.history, TAIL_CONSTANT, 0.95)
         assert all(e.passed for e in series)
         assert any(np.isfinite(e.bound_improved) for e in series)
+        # the bounds scale with the first snapshot's L2 norm
+        assert series[0].bound_basic == TAIL_CONSTANT * l2_norm(theta0)
+
+    def test_frozen_constant_rederived_on_its_family(self):
+        # the declared family: seeds 200-219, disjoint from the acceptance
+        # seeds 100-119, each run to the calibration time t = 0.1
+        grid = Grid(256)
+        histories = []
+        for s in range(200, 220):
+            theta0 = random_band_limited(grid, 8, [s, 0, 0])
+            cfg = SolverConfig(alpha=(0.9, 0.95, 1.0)[s % 3], dt=4e-3, t_end=0.1)
+            histories.append(run(theta0, cfg, snapshot_times=[0.0, 0.1]).history)
+        calibrated = calibrate_tail_constant(histories)
+        assert calibrated == pytest.approx(2.4640220359057112, rel=1e-12)
+        assert calibrated <= TAIL_CONSTANT < calibrated + 0.01
 
     def test_series_fails_when_mass_leaves_the_unit_ball(self):
         # a faint ring outside B_1 sets the constant at t = 0.1, while a
         # bump inside B_1 adds nothing; once the bump moves out past
         # |x| = 1 the tail exceeds 4 times its calibrated value
-        from sqgdiag.oscillation import calibrate_tail_constant
-
         g = Grid(256, 16.0)
         d1, d2 = g.displacement(g.center)
         r = np.hypot(d1, d2)
@@ -96,8 +106,8 @@ class TestTailIntegral:
         times = np.linspace(0.1, 1.5, 8)
         for moves in (False, True):
             hist = [snapshot(t, 3.0 * (t - 0.1) / 1.4 if moves else 0.0) for t in times]
-            constant = calibrate_tail_constant([hist], [1.0])
-            passed = [e.passed for e in tail_series(hist, 1.0, constant, 0.95)]
+            constant = calibrate_tail_constant([hist])
+            passed = [e.passed for e in tail_series(hist, constant, 0.95)]
             assert passed[:2] == [True, True]
             assert all(passed) != moves
 
@@ -234,13 +244,20 @@ class TestVelocitySplit:
         # still bound it
         assert 0.0 < calibrate_split_bound_constant() <= SPLIT_BOUND_CONSTANT
 
-    def test_node_sups_require_grid_nodes(self):
-        g = Grid(64, 16.0)
-        theta = random_band_limited(g, 4, [45, 0, 0])
-        sp = VelocitySplit(theta, 0.25)
-        node = (8.0, 8.0)
-        with pytest.raises(ValueError, match="grid-node"):
-            sp.sup_slow_components([node, (8.0, 8.0 + 0.4 * g.spacing)])
+    def test_sample_nodes_are_indices_near_the_rings(self):
+        # the centre node and PER_RING_SAMPLES nodes per ring, each within
+        # half a diagonal spacing of its ring point
+        g = Grid(256, 4 * np.pi)
+        nodes = _bound_sample_points(g, 3)
+        assert nodes == sorted(set(nodes))
+        assert all(isinstance(i, int) and 0 <= i < g.n for ij in nodes for i in ij)
+        assert len(nodes) == 1 + 3 * oscillation_module.PER_RING_SAMPLES
+        h = g.spacing
+        r = [np.hypot(i * h - g.center[0], j * h - g.center[1]) for i, j in nodes]
+        assert min(r) <= h
+        for q in (1, 2, 3):
+            near = [x for x in r if abs(x - q / 4) <= h]
+            assert len(near) == oscillation_module.PER_RING_SAMPLES
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -260,14 +277,16 @@ class TestVelocitySplit:
         g = Grid(n, side)
         theta = random_band_limited(g, 8, [seed, 0, 0])
         sp = VelocitySplit(theta, rho)
-        pts = _bound_sample_points(g, 3)
+        nodes = _bound_sample_points(g, 3)
+        h = g.spacing
         direct = np.array(
-            [[np.hypot(*sp.w2(p)), np.hypot(*sp.w3(p))] for p in pts]
+            [[np.hypot(*sp.w2((i * h, j * h))), np.hypot(*sp.w3((i * h, j * h)))]
+             for i, j in nodes]
         )
         scale = direct.max(axis=0)
-        assert sp.sup_slow_components(pts) == pytest.approx(tuple(scale), rel=1e-12)
-        for p, want in zip(pts, direct):
-            got = np.array(sp.sup_slow_components([p]))
+        assert sp.sup_slow_components(nodes) == pytest.approx(tuple(scale), rel=1e-12)
+        for ij, want in zip(nodes, direct):
+            got = np.array(sp.sup_slow_components([ij]))
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
         assert (scale[1] == 0.0) == sp.far_empty
 
@@ -286,10 +305,9 @@ class TestVelocitySplit:
         assert np.all(np.abs(antipodes + 0.5 * L) <= 1e-9 * h)
         theta = random_band_limited(g, 8, [46, 0, 0])
         sp = VelocitySplit(theta, None)
-        pts = [(flipped[0] * h, flipped[-1] * h), (flipped[0] * h, 0.0), (0.0, flipped[-1] * h)]
-        for p in pts:
-            want = np.hypot(*sp.w2(p))
-            assert sp.sup_slow_components([p])[0] == pytest.approx(want, rel=1e-12)
+        for i, j in [(flipped[0], flipped[-1]), (flipped[0], 0), (0, flipped[-1])]:
+            want = np.hypot(*sp.w2((i * h, j * h)))
+            assert sp.sup_slow_components([(i, j)])[0] == pytest.approx(want, rel=1e-12)
 
     def test_far_piece_recentred_by_w_bar(self):
         # w3 vanishes at the domain centre and w_bar is the far sum there
@@ -424,6 +442,31 @@ class TestIterationSuite:
         assert "M monotone" in res.failure and "step 1" in res.failure
         assert res.passed is False
         assert not res.records[-1].bounds.M_monotone
+
+    def test_M_monotone_fails_beyond_the_slight_supercriticality(self):
+        # physical negative control: the iteration_256 seed-42 data at
+        # alpha = 0.8.  At rho = 1/16 the oscillation floor 2/3 caps delta
+        # at 0.1462, below eps = 0.2, so M_next = rho^(delta - eps) M_k
+        # grows while the other three bounds hold: the paper's "slightly
+        # supercritical" quantifier, seen failing
+        alpha, rho, t_end = 0.8, 1 / 16, 1.25
+        grid = Grid(256, 4 * np.pi)
+        theta0 = random_band_limited(grid, 6, [42, 0, 0], amplitude=2.0)
+        sched = iteration_snapshot_times(t_end, rho, alpha, steps=1, per_window=12)
+        sched = np.concatenate([[t_end - 1.0], sched[sched > t_end - 1.0]])
+        cfg = SolverConfig(alpha=alpha, dt=4e-3, t_end=t_end)
+        hist, M = normalize_window(run(theta0, cfg, snapshot_times=sched).history, t_end)
+        res = run_iteration_suite(
+            hist,
+            IterationConfig(
+                rho=rho, M=M, alpha=alpha, steps=1, ode_step_divisor=16, bound_sample_rings=2
+            ),
+        )
+        assert res.failure == "M monotone failed at step 1"
+        assert 0.0 < res.delta < 1.0 - alpha
+        (rec,) = res.records
+        assert rec.bounds.hypothesis_ok and rec.containment_ok and rec.bounds.outside_ok
+        assert rec.bounds.M_next > rec.M_k
 
     def test_stops_at_false_containment(self):
         # M = 1e3 drives the recentering shift past 1/2 - rho at step 2

@@ -1,6 +1,5 @@
 """Solver: exact dissipation, advection, energy bookkeeping, checkpoints."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,6 @@ import full_spectrum as fs
 import sqgdiag.solver as solver_mod
 from sqgdiag.solver import (
     CheckpointError,
-    EnergyLedger,
     SolverConfig,
     SqgSolver,
     StabilityError,
@@ -387,7 +385,7 @@ class TestAuditEnergy:
         h2 = grid.spacing**2
         e_start = np.sum(np.maximum(res.history[0].values, 0) ** 2) * h2
         e_end = np.sum(np.maximum(res.history[-1].values, 0) ** 2) * h2
-        lhs = e_end + 2.0 * audit.ledger.pairing_accumulated[0, -1]
+        lhs = e_end + 2.0 * audit.pairing_accumulated[0, -1]
         assert lhs == pytest.approx(e_start, rel=1e-3)
         # at alpha = 1, level 0 the dissipation pairing of the single mode
         # equals pi^2 = || (sin)_+ ||^2_{Hdot^1}; the sampled positive part
@@ -403,7 +401,7 @@ class TestAuditEnergy:
         res = run(single_mode(grid), cfg, snapshot_times=np.linspace(0, 0.2, 5))
         audit = audit_energy(res.history, [5.0], 0.95)
         assert audit.passed
-        assert np.all(audit.ledger.hdot_alpha_accumulated == 0.0)
+        assert np.all(audit.hdot_alpha_accumulated == 0.0)
 
     def test_random_field_multiple_levels(self, grid):
         theta = random_band_limited(grid, 6, [26, 0, 0])
@@ -461,16 +459,18 @@ class TestAuditEnergy:
         assert not audit.passed
         assert bumped.time_stamp in {t2 for _, _, t2, _ in audit.violations}
 
-    def test_no_levels_keeps_the_norms(self, grid):
+    def test_no_levels_audits_nothing(self, grid):
+        # one row per level and one column per snapshot, so no level gives
+        # empty arrays and a vacuous pass
         theta = random_band_limited(grid, 5, [27, 0, 0])
         cfg = SolverConfig(alpha=0.9, dt=5e-3, t_end=0.2)
         res = run(theta, cfg, snapshot_times=np.linspace(0, 0.2, 5))
         bare = audit_energy(res.history, [], 0.9)
         full = audit_energy(res.history, [0.0, 0.2], 0.9)
-        assert bare.passed and bare.ledger.hdot_alpha_accumulated.shape == (0, 5)
-        assert np.array_equal(bare.ledger.l2_norms, full.ledger.l2_norms)
-        assert np.array_equal(bare.ledger.linf_norms, full.ledger.linf_norms)
-        assert bare.ledger.l2_norms == pytest.approx(res.l2_norms[::10], rel=1e-14)
+        assert bare.passed and bare.violations == []
+        for name in ("hdot_alpha_accumulated", "pairing_accumulated", "quad_allowance"):
+            assert getattr(bare, name).shape == (0, 5)
+            assert getattr(full, name).shape == (2, 5)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
@@ -486,56 +486,69 @@ class TestAuditEnergy:
         with pytest.raises(ValueError):
             audit_energy(hist, [0.0], 0.9)
 
+    def test_reversed_history_rejected_by_every_decay_check(self, grid):
+        # one time rule: the audit and both decay checks need strictly
+        # increasing snapshot times
+        cfg = SolverConfig(alpha=1.0, dt=2e-3, t_end=2.0)
+        res = run(single_mode(grid), cfg, snapshot_times=np.linspace(0, 2.0, 21))
+        reversed_history = res.history[::-1]
+        for check in (
+            lambda h: audit_energy(h, [0.0], 1.0),
+            check_l2_monotone,
+            lambda h: check_linf_decay(h, 1.0),
+        ):
+            check(res.history)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                check(reversed_history)
+            with pytest.raises(ValueError, match="empty history"):
+                check([])
+
 
 class TestDecayChecks:
     def test_l2_monotone_single_mode(self, grid):
         cfg = SolverConfig(alpha=1.0, dt=2e-3, t_end=0.5)
         res = run(single_mode(grid), cfg, snapshot_times=np.linspace(0, 0.5, 6))
-        audit = audit_energy(res.history, [0.0], 1.0)
-        assert check_l2_monotone(audit.ledger)
-        assert np.all(np.diff(audit.ledger.l2_norms) < 0)
+        assert check_l2_monotone(res.history)
+        assert np.all(np.diff(res.l2_norms) < 0)
 
     def test_l2_monotone_fails_on_raised_norm(self, grid):
-        # negative control on a real ledger: one norm raised 1e-6 relative
+        # negative control on a real run: one snapshot scaled 1e-6 relative
         # above its predecessor fails; within the 1e-8 slack it passes
         cfg = SolverConfig(alpha=1.0, dt=2e-3, t_end=0.5)
         res = run(single_mode(grid), cfg, snapshot_times=np.linspace(0, 0.5, 6))
-        ledger = audit_energy(res.history, [], 1.0).ledger
         for rise, expected in ((1e-6, False), (1e-9, True)):
-            l2 = ledger.l2_norms.copy()
-            l2[3] = l2[2] * (1.0 + rise)
-            assert check_l2_monotone(dataclasses.replace(ledger, l2_norms=l2)) is expected
+            history = list(res.history)
+            prev, cur = history[2], history[3]
+            history[3] = ScalarField(grid, prev.values * (1.0 + rise), cur.time_stamp)
+            assert check_l2_monotone(history) is expected
 
-    def test_l2_monotone_zero(self):
-        ledger = EnergyLedger(
-            times=np.array([0.0, 1.0]),
-            l2_norms=np.zeros(2),
-            linf_norms=np.zeros(2),
-            levels=np.array([0.0]),
-            hdot_alpha_accumulated=np.zeros((1, 2)),
-            pairing_accumulated=np.zeros((1, 2)),
-            quad_allowance=np.zeros((1, 2)),
-        )
-        assert check_l2_monotone(ledger)
+    def test_l2_monotone_zero(self, grid):
+        zero = np.zeros(grid.shape)
+        assert check_l2_monotone([ScalarField(grid, zero, 0.0), ScalarField(grid, zero, 1.0)])
 
     def test_linf_decay_single_mode(self, grid):
         cfg = SolverConfig(alpha=1.0, dt=2e-3, t_end=3.0)
         res = run(single_mode(grid), cfg, snapshot_times=np.linspace(0, 3.0, 31))
-        audit = audit_energy(res.history, [0.0], 1.0)
         l2i = l2_norm(single_mode(grid))
-        fit = check_linf_decay(audit.ledger, l2i, 1.0, t_min=0.1)
+        fit = check_linf_decay(res.history, 1.0)
         assert fit.passed
         assert fit.slope <= -1.0 / 1.0 + 0.2
         ratio = res.linf_norms * res.times / l2i
-        sel = res.times >= 0.1
+        sel = res.times >= solver_mod.LINF_FIT_START
         assert np.max(ratio[sel]) <= fit.constant + 1e-12
+        # the check reads the run's own norms at the snapshots, and
+        # normalises by the first snapshot's L2 norm
+        at_snapshots = np.isin(res.times, [f.time_stamp for f in res.history])
+        assert fit.constant == np.max(ratio[sel & at_snapshots])
         # the exponential e^{-t} t is maximized at t = 1, so the envelope
-        # constant over a window starting there is read off at t = 1
-        fit2 = check_linf_decay(audit.ledger, l2i, 1.0, t_min=0.3)
-        times = audit.ledger.times
+        # constant over a history that starts at t = 0.3 is read off at
+        # t = 1, relative to the L2 norm at 0.3
+        later = res.history[3:]
+        fit2 = check_linf_decay(later, 1.0)
+        times = np.array([f.time_stamp for f in later])
         j = int(np.argmin(np.abs(times - 1.0)))
         assert fit2.constant == pytest.approx(
-            audit.ledger.linf_norms[j] * times[j] / l2i, rel=1e-6
+            np.max(np.abs(later[j].values)) * times[j] / l2_norm(later[0]), rel=1e-6
         )
 
     def test_linf_decay_fails_without_dissipation(self, monkeypatch):
@@ -553,31 +566,22 @@ class TestDecayChecks:
         theta = random_band_limited(grid, 6, [5, 0, 0])
         cfg = SolverConfig(alpha=1.0, dt=2e-3, t_end=2.0)
         res = run(theta, cfg, snapshot_times=np.linspace(0, 2.0, 21))
-        ledger = audit_energy(res.history, [], 1.0).ledger
-        fit = check_linf_decay(ledger, l2_norm(theta), 1.0, t_min=0.1)
+        fit = check_linf_decay(res.history, 1.0)
         assert not fit.passed
         assert fit.slope > -1.0 + solver_mod.LINF_SLOPE_SLACK
 
-    def test_linf_decay_zero_field_vacuous(self):
-        ledger = EnergyLedger(
-            times=np.linspace(0.01, 2.0, 50),
-            l2_norms=np.zeros(50),
-            linf_norms=np.zeros(50),
-            levels=np.array([0.0]),
-            hdot_alpha_accumulated=np.zeros((1, 50)),
-            pairing_accumulated=np.zeros((1, 50)),
-            quad_allowance=np.zeros((1, 50)),
-        )
-        fit = check_linf_decay(ledger, 1.0, 1.0)
+    def test_linf_decay_zero_field_vacuous(self, grid):
+        zero = np.zeros(grid.shape)
+        history = [ScalarField(grid, zero, t) for t in np.linspace(0.01, 2.0, 50)]
+        fit = check_linf_decay(history, 1.0)
         assert fit.passed and fit.constant == 0.0
 
     def test_window_too_short(self, grid):
-        # the window runs from t_min to the ledger's last time, 0.3
+        # the window runs from LINF_FIT_START to the last snapshot, 0.3
         cfg = SolverConfig(alpha=1.0, dt=2e-3, t_end=0.3)
         res = run(single_mode(grid), cfg, snapshot_times=np.linspace(0, 0.3, 7))
-        audit = audit_energy(res.history, [0.0], 1.0)
         with pytest.raises(ValueError, match="decade"):
-            check_linf_decay(audit.ledger, 1.0, 1.0, t_min=0.1)
+            check_linf_decay(res.history, 1.0)
 
 
 class TestCheckpoint:
