@@ -6,11 +6,11 @@ where phi is the unique bounded solution of
 
     phi'' + (eps / s) phi' - phi = 0,    phi(0) = 1,  phi(inf) = 0.
 
-Two independent evaluations of phi are provided: the modified-Bessel closed
-form phi(s) = s^nu K_nu(s) / (2^(nu-1) Gamma(nu)) with nu = (1 - eps)/2
-(production path), and a stiff ODE integration started from the large-s
-asymptotics (validation path); the test suite requires them to agree to
-1e-8.
+phi is evaluated by the modified-Bessel closed form
+phi(s) = s^nu K_nu(s) / (2^(nu-1) Gamma(nu)) with nu = (1 - eps)/2.  Its
+independent oracle, a stiff ODE integration started from the large-s
+asymptotics, lives in ``tests/oracles.py``; the test suite requires the
+two to agree to 1e-8.
 
 The multiplier is radial, so ``extend`` evaluates the closed form once per
 distinct |k| of the rfft2 half spectrum (6801 values for the 33 024 modes
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
@@ -50,67 +49,6 @@ def extension_profile(s, epsilon):
         out[pos] = s[pos] ** nu * kv(nu, s[pos]) / norm
     out[~np.isfinite(out)] = 0.0  # far-field underflow
     return out
-
-
-def extension_profile_ode(s_values, epsilon, s_far=40.0):
-    """Independent profile evaluation by stiff ODE integration.
-
-    Integrates v = phi * exp(s) inward from the large-s asymptotics
-    v ~ s^(-eps/2) (1 + a/s), a = (eps/2)(eps/2 - 1)/2, then normalizes by
-    the s -> 0 limit of v obtained by Richardson extrapolation (the local
-    expansion is 1 + O(s^(1-eps)) + O(s^2)).
-    """
-    if not (0.0 <= epsilon < 1.0):
-        raise ValueError("epsilon must lie in [0, 1)")
-    s_values = np.asarray(s_values, dtype=float)
-    if np.any(s_values >= s_far):
-        raise ValueError("requested s beyond the asymptotic start")
-    beta = epsilon / 2.0
-    a = beta * (beta - 1.0) / 2.0
-
-    def rhs(s, y):
-        v, dv = y
-        return [dv, 2.0 * dv - (epsilon / s) * dv + (epsilon / s) * v]
-
-    v0 = s_far ** (-beta) * (1.0 + a / s_far)
-    dv0 = -beta * s_far ** (-beta - 1.0) * (1.0 + a / s_far) - a * s_far ** (
-        -beta - 2.0
-    )
-    s_lo = 1e-5
-    eval_pts = np.unique(
-        np.concatenate([s_values[s_values > 0], [s_lo, 2 * s_lo]])
-    )[::-1]
-    sol = solve_ivp(
-        rhs,
-        (s_far, s_lo),
-        [v0, dv0],
-        method="Radau",
-        t_eval=eval_pts,
-        rtol=1e-12,
-        atol=1e-14,
-    )
-    if not sol.success:
-        raise RuntimeError(f"profile ODE integration failed: {sol.message}")
-    v_of = dict(zip(sol.t, sol.y[0]))
-    phi_unnorm = {s: v_of[s] * np.exp(-s) for s in sol.t}
-    # phi(0) by Richardson across (s_lo, 2 s_lo); the local expansion of the
-    # unnormalized profile is A (1 + B s^(1-eps) + O(s^2)), so eliminating
-    # the 1-eps exponent leaves an O(s_lo^2) normalization error.
-    p = 1.0 - epsilon
-    r = 2.0**p
-    phi_origin = (r * phi_unnorm[s_lo] - phi_unnorm[2 * s_lo]) / (r - 1.0)
-    out = np.ones_like(s_values)
-    for i, s in enumerate(s_values):
-        if s > 0:
-            out[i] = phi_unnorm[s] / phi_origin
-    return out
-
-
-def dtn_constant_analytic(epsilon):
-    """Series coefficient giving lim z^eps d_z phi(kz) = d * k^(1-eps)."""
-    nu = (1.0 - epsilon) / 2.0
-    B = gamma_fn(-nu) / (gamma_fn(nu) * 4.0**nu)
-    return (1.0 - epsilon) * B
 
 
 @dataclass

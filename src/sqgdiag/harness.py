@@ -158,7 +158,11 @@ class RunReport:
     config_echo: dict
     sections: list
     timings: dict
-    passed: bool
+
+    @property
+    def passed(self):
+        """The report's verdict: every section passed."""
+        return all(s["passed"] for s in self.sections)
 
     def to_json(self):
         return json.dumps(
@@ -219,7 +223,6 @@ def simulate(config, out_dir=None):
             }
         ],
         timings={"simulate_seconds": wall},
-        passed=True,
     )
     with open(os.path.join(out, "report.json"), "w") as fh:
         fh.write(report.to_json())
@@ -248,8 +251,8 @@ def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
     """Fan out the enabled diagnostics over a checkpoint series.
 
     Each toggle computes its own section from the snapshots; the energy
-    audit runs only for ``energy_audit``, and only it needs uniformly spaced
-    snapshots.  The report passes iff every enabled check passes.
+    audit runs only for ``energy_audit``.  The report passes iff every
+    enabled check passes.
     """
     for t in toggles:
         if t not in DIAGNOSTIC_NAMES:
@@ -296,14 +299,11 @@ def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
                 }
             )
 
-    passed = all(s["passed"] for s in sections)
-    report = RunReport(
+    return RunReport(
         config_echo=asdict(config) if config else {},
         sections=sections,
         timings={"diagnose_seconds": time.perf_counter() - t0},
-        passed=passed,
     )
-    return report
 
 
 def extension_report(epsilons=(0.0, 0.05, 0.1), n=64, seed=0):
@@ -329,9 +329,7 @@ def extension_report(epsilons=(0.0, 0.05, 0.1), n=64, seed=0):
                 "trace_rel_error": rel,
             }
         )
-    return RunReport(
-        config_echo={}, sections=sections, timings={}, passed=all(s["passed"] for s in sections)
-    )
+    return RunReport(config_echo={}, sections=sections, timings={})
 
 
 def isoperimetric_report(count=20, seed=2025, samples=100_000):
@@ -350,6 +348,4 @@ def isoperimetric_report(count=20, seed=2025, samples=100_000):
                 "worst_margin": min(r.margin for r in results),
             }
         )
-    return RunReport(
-        config_echo={}, sections=sections, timings={}, passed=all(s["passed"] for s in sections)
-    )
+    return RunReport(config_echo={}, sections=sections, timings={})

@@ -22,6 +22,7 @@ from sqgdiag.degiorgi import (
 from sqgdiag.extension import calibrate_dtn_constant, extend, neumann_trace, trace_ladder
 from sqgdiag.harness import isoperimetric_report
 from sqgdiag.oscillation import (
+    SPLIT_BOUND_CONSTANT,
     TAIL_CONSTANT,
     IterationConfig,
     iteration_snapshot_times,
@@ -283,11 +284,16 @@ def test_criterion_10_iteration_suite():
         max(r.w3_sup for r in outcome.records[1:]) * M / rho,
     )
     ok = ok and choose_rho(w2_step1, c_eff, alpha) == rho
+    # the split bound is judged from step 2 on
+    split_ratio = max(r.w2_sup for r in outcome.records[1:]) / (
+        SPLIT_BOUND_CONSTANT * -np.log(rho)
+    )
     report(
         10,
         ok,
         f"{outcome.completed_steps}/4 steps, "
         f"verdict {'passed' if outcome.passed else repr(outcome.failure)}, "
+        f"worst w2_sup / (C log(1/rho)) = {split_ratio:.4f}, "
         f"delta'={outcome.fitted_decay_exponent:.3f} > 0, eta_min={outcome.eta_min:.3f}, "
         f"runtime {elapsed:.0f}s (< 300s)",
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import irfft2, rfft2
 
 import full_spectrum as fs
+from oracles import dtn_constant_analytic, extension_profile_ode
 from sqgdiag.degiorgi import extension_cutoff
 from sqgdiag.extension import (
     ExtensionField,
@@ -13,10 +14,8 @@ from sqgdiag.extension import (
     _z_derivative,
     calibrate_dtn_constant,
     cutoff_box,
-    dtn_constant_analytic,
     extend,
     extension_profile,
-    extension_profile_ode,
     grid_k_max,
     neumann_trace,
     trace_ladder,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import admissible_field, calibrate_split_bound_constant, calibrate_tail_constant
 from sqgdiag.oscillation import (
     IterationConfig,
     ParabolicCylinder,
@@ -16,9 +17,6 @@ from sqgdiag.oscillation import (
     TAIL_CONSTANT,
     VelocitySplit,
     _bound_sample_points,
-    admissible_field,
-    calibrate_split_bound_constant,
-    calibrate_tail_constant,
     iteration_snapshot_times,
     normalize_window,
     oscillation,
@@ -240,9 +238,11 @@ class TestVelocitySplit:
                 assert 0.0 < s3 <= SPLIT_BOUND_CONSTANT * rho
 
     def test_frozen_constant_covers_calibration(self):
-        # the full calibration sweep, re-derived: the frozen constant must
-        # still bound it
-        assert 0.0 < calibrate_split_bound_constant() <= SPLIT_BOUND_CONSTANT
+        # the full calibration sweep, re-derived: it gives the value the
+        # constant was frozen from, and the frozen constant still bounds it
+        calibrated = calibrate_split_bound_constant()
+        assert calibrated == pytest.approx(0.09888352624503059, rel=1e-12)
+        assert calibrated <= SPLIT_BOUND_CONSTANT
 
     def test_sample_nodes_are_indices_near_the_rings(self):
         # the centre node and PER_RING_SAMPLES nodes per ring, each within
@@ -468,6 +468,30 @@ class TestIterationSuite:
         assert rec.bounds.hypothesis_ok and rec.containment_ok and rec.bounds.outside_ok
         assert rec.bounds.M_next > rec.M_k
 
+    def test_stops_at_false_split_bound(self):
+        # on Grid(1024, 64) B_{2/rho} = B_32 fits and the corners hold far
+        # nodes.  theta = x1 exp(-|x|^2 / 2) / 2, frozen in time, is zoomed
+        # with delta = 1 into theta_2 ~ x1 exp(-|x|^2 / 512) / 2: at most 1/2
+        # on B_1 but growing like x1 out to |x| ~ 16, so sup|w2| at step 2
+        # is about 4.4, far above C log 16 = 0.42, while hypothesis,
+        # containment and outer bound hold at both steps
+        g = Grid(1024, 64.0)
+        d1, d2 = g.displacement(g.center)
+        theta = 0.5 * d1 * np.exp(-(d1**2 + d2**2) / 2)
+        times = iteration_snapshot_times(1.0, 1 / 16, 0.95, steps=2, per_window=4)
+        hist = [ScalarField(g, theta, t) for t in np.concatenate([[0.0], times[times > 0]])]
+        res = run_iteration_suite(
+            hist,
+            IterationConfig(rho=1 / 16, M=1.0, alpha=0.95, steps=2, delta=1.0, ode_step_divisor=2),
+        )
+        assert res.failure.startswith("split bound") and res.failure.endswith("step 2")
+        assert res.passed is False
+        first, second = res.records
+        assert first.split_bound_ok is None and second.split_bound_ok is False
+        assert not second.truncated_split and not second.far_empty
+        assert second.containment_ok and second.bounds.hypothesis_ok and second.bounds.outside_ok
+        assert second.w2_sup > 5 * SPLIT_BOUND_CONSTANT * np.log(16)
+
     def test_stops_at_false_containment(self):
         # M = 1e3 drives the recentering shift past 1/2 - rho at step 2
         hist, _ = decaying_mode_history()
@@ -543,6 +567,7 @@ class TestIterationSuite:
             assert rec.containment_ok
             assert rec.bounds.hypothesis_ok
             assert rec.bounds.outside_ok
+            assert rec.split_bound_ok is (None if rec.step_index == 1 else True)
             assert rec.bounds.M_monotone
             # the flow displacement obeys the measured slow-component bound
             # M (sup|w2| + sup|w3|) rho^alpha that feeds the containment
@@ -561,7 +586,7 @@ class TestIterationSuite:
         assert res.completed_steps == 1 and res.passed
         for line in res.report_lines():
             blob = json.loads(line)
-            assert {"k", "r_k", "osc", "max_V", "M_k", "far_empty"} <= set(blob)
+            assert {"k", "r_k", "osc", "max_V", "M_k", "far_empty", "split_bound_ok"} <= set(blob)
 
     def test_far_empty_reported_apart_from_truncation(self):
         # rho = 1/4 on a 4 pi torus: from step 2 on, B_8 overflows the

@@ -477,14 +477,33 @@ class TestAuditEnergy:
             audit_energy([], [0.0], 0.9)
 
     def test_nonuniform_history_rejected(self, grid):
+        # a frozen field on gaps of 0.1 and 0.25 keeps its energy while the
+        # dissipation integral grows: each pair fails on its own panel widths
         f = single_mode(grid)
         hist = [
             ScalarField(grid, f.values, 0.0),
             ScalarField(grid, f.values, 0.1),
             ScalarField(grid, f.values, 0.35),
         ]
-        with pytest.raises(ValueError):
-            audit_energy(hist, [0.0], 0.9)
+        audit = audit_energy(hist, [0.0], 0.9)
+        assert not audit.passed
+        assert [(t1, t2) for _, t1, t2, _ in audit.violations] == [
+            (0.0, 0.1), (0.0, 0.35), (0.1, 0.35)
+        ]
+
+    def test_exact_mode_on_nonuniform_snapshots_passes(self, grid):
+        # e^-t sin(x1) solves the equation for every alpha (|k| = 1), sampled
+        # on gaps from 0.02 to 0.3 with a short last gap, as simulate writes
+        x1, _ = grid.coordinates()
+        times = [0.0, 0.02, 0.1, 0.2, 0.5, 0.8, 0.85]
+        hist = [ScalarField(grid, np.exp(-t) * np.sin(x1), t) for t in times]
+        audit = audit_energy(hist, [0.0, 0.3, 0.6], 0.9)
+        assert audit.passed, audit.violations[:5]
+        # the trapezoid takes each panel at its own width: one panel's
+        # integral is half the sum of its end values times its gap
+        hdot = audit.hdot_alpha_accumulated[0]
+        g = [level_terms(f, [0.0], 0.9)[1, 0] for f in hist[-2:]]
+        assert hdot[-1] - hdot[-2] == pytest.approx(0.5 * (g[0] + g[1]) * 0.05, rel=1e-12)
 
     def test_reversed_history_rejected_by_every_decay_check(self, grid):
         # one time rule: the audit and both decay checks need strictly
