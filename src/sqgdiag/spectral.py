@@ -8,7 +8,10 @@ Fourier symbol of the package, the multipliers and norms built on it
 (fractional Laplacian, Riesz velocity, homogeneous Sobolev norms,
 Parseval sums), and band-limited evaluation of a gridded field at
 arbitrary uniform lattices (chirp-z on the half spectrum), which the
-oscillation diagnostics use for zooming and recentering.
+oscillation diagnostics use for zooming and recentering.  The chirp-z is
+the package's own port of ``scipy.signal.ZoomFFT`` on ``numpy.fft``,
+bit-identical to it (ZoomFFT is the test oracle), so importing the package
+does not load ``scipy.signal``.
 
 The underlying model domain is the plane; the torus is a computational
 substitute.  Plane-specific integrals elsewhere in the package are truncated
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import ZoomFFT
 
 # relative size (against max(|f|, 1)) of the mean that Riesz velocities and
 # the solver accept as zero
@@ -303,26 +305,54 @@ def l2_norm(field):
     return sobolev_norm(field, 0.0)
 
 
+def _fast_length(n):
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n: the FFT length that
+    ``scipy.fft.next_fast_len`` gives complex input."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _zoom_line(c, grid, first, start, step, count, axis):
     """Evaluate sum_m c_m exp(i k_m (start + p*step)) along ``axis``.
 
     k_m = (first + m) 2 pi / L for the m-th entry of ``c`` along ``axis``,
-    p = 0 .. count-1.  ``ZoomFFT`` builds its chirps from exact phases;
-    ``czt``'s ``w**(k^2/2)`` drifts off the unit circle, and on the half
-    spectrum that error lands in the kept real part (an order of magnitude
-    more rounding at n = 256 and 512).
+    p = 0 .. count-1.  With theta = 2 pi step / L, the sum over
+    j = m - first is Bluestein's chirp-z (Bluestein 1968; Rabiner, Schafer
+    & Rader 1969): j p = (j^2 + p^2 - (p - j)^2) / 2 makes it a convolution
+    with the chirp exp(i theta k^2 / 2), done by FFTs of length
+    ``_fast_length(n + count - 1)`` for n entries along ``axis``.  This is
+    ``scipy.signal.ZoomFFT`` with f1 = 0, ported with its chirps, FFT length
+    and operation order, so the result is bit-identical to it; ZoomFFT is
+    the test oracle.  Its chirps come from exact phases; ``czt``'s ``w**(k^2/2)`` drifts off the unit
+    circle, and on the half spectrum that error lands in the kept real part
+    (an order of magnitude more rounding at n = 256 and 512).
     """
+    n = c.shape[axis]
     base = 2.0 * np.pi / grid.side_length
     theta = base * step
-    shape = [1, 1]
-    shape[axis] = c.shape[axis]
-    m = first + np.arange(c.shape[axis])
-    c = c * np.exp(1j * base * m * start).reshape(shape)
-    # ZoomFFT(x)_p = sum_j x_j exp(-2 pi i f_p j) with f_p = -theta p / (2 pi)
-    zoom = ZoomFFT(c.shape[axis], [0.0, -theta * count / (2.0 * np.pi)], count, fs=1)
-    shape[axis] = count
+    m = first + np.arange(n)
+    # the transform axis last and contiguous: numpy.fft is 2-3x slower on
+    # strided lines
+    x = np.multiply(np.moveaxis(c, axis, -1), np.exp(1j * base * m * start), order="C")
+    # ZoomFFT's frequency span f2 at fs = 1: it sums x_j exp(-2 pi i f2 j p /
+    # count) = x_j exp(i theta j p).  The chirp is written as ZoomFFT writes
+    # it, so every rounding matches.
+    f2 = -theta * count / (2.0 * np.pi)
+    k = np.arange(max(count, n), dtype=np.min_scalar_type(-max(count, n) ** 2))
+    chirp = np.exp(-(1j * np.pi * f2 * k**2) / count)
+    nfft = _fast_length(n + count - 1)
+    kernel = np.fft.fft(1 / np.hstack((chirp[n - 1 : 0 : -1], chirp[:count])), nfft)
+    y = np.fft.ifft(kernel * np.fft.fft(x * chirp[:n], nfft))
+    y = y[..., n - 1 : n + count - 1] * chirp[:count]
     # the zoom sums over the index j = m - first; restore the offset
-    return zoom(c, axis=axis) * np.exp(1j * first * theta * np.arange(count)).reshape(shape)
+    y = y * np.exp(1j * first * theta * np.arange(count))
+    return np.moveaxis(y, -1, axis)
 
 
 def evaluate_on_lattice(field, origin, spacing, shape):

@@ -6,11 +6,14 @@ Dirichlet-to-Neumann constant, against which the suite pins the Bessel
 closed form and the measured trace.  The tail and split-bound constants are
 frozen in ``sqgdiag.oscillation``; the calibrations here re-derive them on
 their declared families, as ``test_degiorgi.py`` does for the
-isoperimetric and local-energy constants.
+isoperimetric and local-energy constants.  ``zoom_line_zoomfft`` is the
+``scipy.signal.ZoomFFT`` route that the package's own chirp-z reproduces
+bit for bit.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.signal import ZoomFFT
 from scipy.special import gamma as gamma_fn
 
 from sqgdiag.oscillation import VelocitySplit, _bound_sample_points, tail_integral
@@ -18,6 +21,20 @@ from sqgdiag.spectral import Grid, ScalarField, l2_norm, random_band_limited
 
 TAIL_CALIBRATION_TIME = 0.1  # snapshot time at which the tail constant is calibrated
 TAIL_SAFETY = 4.0  # headroom of the tail constant over the calibrated ratio
+
+
+def zoom_line_zoomfft(c, grid, first, start, step, count, axis):
+    """``spectral._zoom_line`` through ``scipy.signal.ZoomFFT``."""
+    base = 2.0 * np.pi / grid.side_length
+    theta = base * step
+    shape = [1, 1]
+    shape[axis] = c.shape[axis]
+    m = first + np.arange(c.shape[axis])
+    c = c * np.exp(1j * base * m * start).reshape(shape)
+    # ZoomFFT(x)_p = sum_j x_j exp(-2 pi i f_p j) with f_p = -theta p / (2 pi)
+    zoom = ZoomFFT(c.shape[axis], [0.0, -theta * count / (2.0 * np.pi)], count, fs=1)
+    shape[axis] = count
+    return zoom(c, axis=axis) * np.exp(1j * first * theta * np.arange(count)).reshape(shape)
 
 
 def extension_profile_ode(s_values, epsilon, s_far=40.0):

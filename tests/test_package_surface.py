@@ -9,6 +9,9 @@ oracle or a calibration that only the suite calls lives in ``tests/``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,3 +71,15 @@ def test_every_top_level_name_is_read_outside_its_definition():
 def test_scan_ignores_comments_docstrings_and_strings():
     tree = ast.parse('"""uses SPLIT"""\n# SPLIT\nx = "SPLIT"\ny = f(z).SPLIT\n')
     assert [read_names(s) for s in tree.body] == [set(), set(), {"f", "z", "SPLIT"}]
+
+
+def test_import_leaves_the_heavy_scipy_subpackages_out():
+    # import sqgdiag loads numpy, scipy.special and the package: a fresh
+    # interpreter must not find these in sys.modules afterwards
+    heavy = ["scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate", "scipy.optimize"]
+    probe = f"import sys, sqgdiag; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

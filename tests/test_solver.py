@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.fft import irfft2, rfft2
+from scipy.ndimage import maximum_filter1d
 
 import full_spectrum as fs
 import sqgdiag.solver as solver_mod
@@ -504,6 +505,33 @@ class TestAuditEnergy:
         hdot = audit.hdot_alpha_accumulated[0]
         g = [level_terms(f, [0.0], 0.9)[1, 0] for f in hist[-2:]]
         assert hdot[-1] - hdot[-2] == pytest.approx(0.5 * (g[0] + g[1]) * 0.05, rel=1e-12)
+
+    def test_no_model_floor_past_the_last_crossing(self):
+        # negative control: the level 0.5 is crossed for the last time
+        # between t = 1 and t = 2, so g = 0 on the panels after it, where the
+        # trapezoid is exact.  The t = 0 energy cannot cover the dissipation
+        # already spent by then, and no model floor hides (0, 3) and (0, 4)
+        g = Grid(32)
+        x1, x2 = g.coordinates()
+        amplitudes = [1.0, 1.0, 0.2, 0.1, 0.05]
+        hist = [ScalarField(g, a * np.sin(x1) * np.cos(2 * x2), float(t))
+                for t, a in enumerate(amplitudes)]
+        audit = audit_energy(hist, [0.5], 0.9)
+        pairs = {(t1, t2) for _, t1, t2, _ in audit.violations}
+        assert {(0.0, 3.0), (0.0, 4.0)} <= pairs
+        # 1.2 here; the model floor on the zero panels made it 1.2e299
+        assert np.max(audit.quad_allowance) < 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=39
+        )
+    )
+    def test_max_within_two_is_maximum_filter1d(self, values):
+        values = np.array(values)
+        expected = maximum_filter1d(values, size=5, mode="constant")
+        assert np.array_equal(solver_mod._max_within_two(values), expected)
 
     def test_reversed_history_rejected_by_every_decay_check(self, grid):
         # one time rule: the audit and both decay checks need strictly

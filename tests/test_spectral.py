@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.fft import irfft2, rfft2
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 import full_spectrum as fs
+from oracles import zoom_line_zoomfft
 import sqgdiag
 from sqgdiag import spectral
 from sqgdiag.spectral import (
@@ -521,6 +522,48 @@ class TestResampling:
         g2 = irfft2(op.dx2 * spec, s=grid.shape)
         assert np.max(np.abs(g1 - np.cos(x1))) < 1e-11
         assert np.max(np.abs(g2 + 2 * np.sin(2 * x2))) < 1e-11
+
+
+class TestChirpZPort:
+    """The package's chirp-z is ``scipy.signal.ZoomFFT``, bit for bit."""
+
+    def test_fast_length_is_next_fast_len(self):
+        lengths = range(1, 20001)
+        assert [spectral._fast_length(n) for n in lengths] == [next_fast_len(n) for n in lengths]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.integers(8, 512),
+        other=st.integers(1, 5),
+        first=st.sampled_from([0, -1]),
+        side=st.sampled_from([2 * np.pi, 4 * np.pi, 5.0]),
+        start=st.floats(-10.0, 10.0),
+        step=st.floats(1e-4, 2.0),
+        count=st.integers(1, 520),
+        axis=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_zoom_line_is_zoomfft(self, length, other, first, side, start, step, count, axis, seed):
+        rng = np.random.default_rng(seed)
+        shape = (length, other) if axis == 0 else (other, length)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        args = (Grid(8, side), first * (length // 2), start, step, count, axis)
+        assert np.array_equal(spectral._zoom_line(c, *args), zoom_line_zoomfft(c, *args))
+
+    @pytest.mark.parametrize(
+        "n, side, shape, divisor",
+        [(16, 2 * np.pi, (16, 16), 1), (64, 5.0, (37, 9), 3), (256, 4 * np.pi, (256, 256), 16),
+         (512, 4 * np.pi, (512, 512), 16), (256, 4 * np.pi, (129, 300), 16)],
+    )
+    def test_lattice_evaluation_is_the_zoomfft_route(self, monkeypatch, n, side, shape, divisor):
+        # n = 256 and 512 at spacing h/16 about the centre is the oscillation zoom
+        g = Grid(n, side)
+        f = ScalarField(g, fs.white_noise(g, n))
+        origin = (g.center[0] - 0.37, g.center[1] + 0.011)
+        step = (g.spacing / divisor, g.spacing / divisor)
+        out = evaluate_on_lattice(f, origin, step, shape)
+        monkeypatch.setattr(spectral, "_zoom_line", zoom_line_zoomfft)
+        assert np.array_equal(out, evaluate_on_lattice(f, origin, step, shape))
 
 
 def test_random_band_limited_deterministic():
