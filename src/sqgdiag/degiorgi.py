@@ -62,6 +62,8 @@ class WeightedRegion:
     def __post_init__(self):
         if self.sample_count <= 0:
             raise ValueError("sample_count must be positive")
+        if self.sample_count == 1:
+            raise ValueError("sample_count must be at least 2 for a standard error")
 
     def volume(self):
         return np.pi  # unit disk area times unit height

@@ -7,10 +7,17 @@ where phi is the unique bounded solution of
     phi'' + (eps / s) phi' - phi = 0,    phi(0) = 1,  phi(inf) = 0.
 
 phi is evaluated by the modified-Bessel closed form
-phi(s) = s^nu K_nu(s) / (2^(nu-1) Gamma(nu)) with nu = (1 - eps)/2.  Its
+phi(s) = s^nu K_nu(s) / (2^(nu-1) Gamma(nu)) with nu = (1 - eps)/2
+(Caffarelli & Silvestre, Comm. PDE 32, 2007), so 0 < nu <= 1/2.  Gamma
+comes from ``math.gamma`` and K_nu from the package's own kernel
+``_bessel_k``, in three ranges of the argument: Temme's series below 2,
+Steed's continued fraction CF2 up to 20 (both as in Numerical Recipes 6.7,
+``bessik``) and Hankel's asymptotic series beyond, which terminates at
+nu = 1/2, where phi_0(s) = exp(-s).  So importing the package loads no
+scipy.  The test suite holds the kernel to 2e-14 relative of
+``mpmath.besselk`` at 40 digits and to ``scipy.special.kv``; phi's
 independent oracle, a stiff ODE integration started from the large-s
-asymptotics, lives in ``tests/oracles.py``; the test suite requires the
-two to agree to 1e-8.
+asymptotics, lives in ``tests/oracles.py``, and the two must agree to 1e-8.
 
 The multiplier is radial, so ``extend`` evaluates the closed form once per
 distinct |k| of the rfft2 half spectrum (6801 values for the 33 024 modes
@@ -26,29 +33,158 @@ up to one constant d_eps, which is calibrated numerically on a single mode
 then be independent of the mode, which is what certifies the trace.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .spectral import Grid, ScalarField, fractional_laplacian, half_spectrum, irfft2, rfft2
 
+# exp(-s) is 0 in double precision from here on, and so are K_nu(s) and phi
+EXP_UNDERFLOW = 746.0
+# Hankel's series at x >= 20 with 26 terms: the first omitted term is below 1e-17
+HANKEL_FROM = 20.0
+HANKEL_TERMS = 26
+# Taylor coefficients of 1/Gamma(1 + x) at x^1, x^3, ..., x^21 (mpmath, 50 digits)
+RGAMMA_ODD = (
+    0.5772156649015329, -0.04200263503409524, -0.04219773455554433,
+    0.0072189432466631, -0.00021524167411495098, -2.013485478078824e-05,
+    1.133027231981696e-06, 6.116095104481416e-09, -1.18127457048702e-09,
+    7.782263439905071e-12, 5.100370287454476e-13,
+)
+
 
 def extension_profile(s, epsilon):
-    """Bounded profile phi_eps(s), closed form via the K Bessel function."""
+    """Bounded profile phi_eps(s), closed form via the K Bessel function.
+
+    phi is 1 at s <= 0 and exactly 0 once exp(-s) underflows.
+    """
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must lie in [0, 1)")
     s = np.asarray(s, dtype=float)
     nu = (1.0 - epsilon) / 2.0
-    norm = 2.0 ** (nu - 1.0) * gamma_fn(nu)
-    out = np.ones_like(s)
-    pos = s > 0
+    norm = 2.0 ** (nu - 1.0) * math.gamma(nu)
+    out = np.where(s > 0, 0.0, 1.0)
+    live = (s > 0) & (s < EXP_UNDERFLOW)
     with np.errstate(under="ignore"):
-        out[pos] = s[pos] ** nu * kv(nu, s[pos]) / norm
-    out[~np.isfinite(out)] = 0.0  # far-field underflow
+        out[live] = s[live] ** nu * _bessel_k(nu, s[live]) / norm
     return out
+
+
+def _bessel_k(nu, x):
+    """K_nu(x) for 0 < nu <= 1/2 on a 1-d array of finite x > 0.
+
+    Each range's constants depend on nu alone and are computed once per
+    call.  Below x = 2 Temme's series, from 2 to HANKEL_FROM Steed's CF2
+    (both Numerical Recipes 6.7, ``bessik``), beyond that Hankel's
+    asymptotic series, which is exact at every x for nu = 1/2.  Relative
+    error about 1e-14 at worst, just below x = 2, where Temme's first term
+    cancels against the rest.
+    """
+    out = np.empty_like(x)
+    large = (x >= HANKEL_FROM) | (nu == 0.5)
+    small = (x < 2.0) & ~large
+    middle = ~(small | large)
+    out[small] = _k_temme(nu, x[small])
+    out[middle] = _k_steed(nu, x[middle])
+    out[large] = _k_hankel(nu, x[large])
+    return out
+
+
+def _k_temme(nu, x):
+    """K_nu by Temme's series, for x < 2.
+
+    Temme's gamma_1 = (1/Gamma(1 - nu) - 1/Gamma(1 + nu)) / (2 nu) comes
+    from its Taylor series, because the difference quotient cancels as
+    nu -> 0; every other gamma value is ``math.gamma``.
+    """
+    nu2 = nu * nu
+    gamma1 = 0.0
+    for b in reversed(RGAMMA_ODD):
+        gamma1 = gamma1 * nu2 + b
+    gamma1 = -gamma1
+    g_plus, g_minus = math.gamma(1.0 + nu), math.gamma(1.0 - nu)
+    gamma2 = 0.5 * (1.0 / g_minus + 1.0 / g_plus)
+    fact = math.pi * nu / math.sin(math.pi * nu)
+    e = nu * (math.log(2.0) - np.log(x))
+    # f_0 = fact (gamma1 cosh e + gamma2 ln(2/x) sinh(e) / e), and ln(2/x) / e = 1 / nu
+    f = fact * (gamma1 * np.cosh(e) + gamma2 * np.sinh(e) / nu)
+    p = np.exp(e)
+    q = (0.5 * g_minus) / p
+    p *= 0.5 * g_plus
+    y = 0.25 * x * x
+    c = np.ones_like(x)
+    total = f.copy()
+    i = 0
+    while True:
+        i += 1
+        f = (i * f + p + q) / (i * i - nu2)
+        c *= y / i
+        p /= i - nu
+        q /= i + nu
+        term = c * f
+        total += term
+        if np.all(np.abs(term) <= np.finfo(float).eps * np.abs(total)):
+            return total
+
+
+def _k_steed(nu, x):
+    """K_nu by Steed's evaluation of the continued fraction CF2, for x >= 2.
+
+    Converged elements drop out of the loop.
+    """
+    a1 = 0.25 - nu * nu
+    a, c = -a1, a1
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    delh = d.copy()
+    q1, q2 = np.zeros_like(x), np.ones_like(x)
+    q = np.full_like(x, a1)
+    s = 1.0 + q * delh
+    series = np.empty_like(x)
+    active = np.arange(x.size)
+    i = 1
+    while active.size:
+        i += 1
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh *= b * d - 1.0
+        step = q * delh
+        s += step
+        done = np.abs(step) <= np.finfo(float).eps * s
+        if done.any():
+            series[active[done]] = s[done]
+            keep = ~done
+            active, b, d, delh, q1, q2, q, s = (
+                v[keep] for v in (active, b, d, delh, q1, q2, q, s)
+            )
+    return np.sqrt(0.5 * np.pi / x) * np.exp(-x) / series
+
+
+def _k_hankel(nu, x):
+    """K_nu by Hankel's asymptotic series in 1/x, for x >= HANKEL_FROM.
+
+    The coefficients carry the factor 4 nu^2 - 1, so at nu = 1/2 the series
+    is exactly 1 and K_1/2(x) = sqrt(pi / (2 x)) exp(-x).
+    """
+    mu = 4.0 * nu * nu
+    coef = [1.0]
+    for k in range(1, HANKEL_TERMS + 1):
+        a = coef[-1] * (mu - (2 * k - 1) ** 2) / (8 * k)
+        if a == 0.0:
+            break
+        coef.append(a)
+    acc = np.full_like(x, coef[-1])
+    for a in reversed(coef[:-1]):
+        acc /= x
+        acc += a
+    # sqrt(pi / (2 x)) in two roots, which stay finite at subnormal x
+    return math.sqrt(0.5 * math.pi) / np.sqrt(x) * np.exp(-x) * acc
 
 
 @dataclass

@@ -71,8 +71,10 @@ class RunConfig:
         # the grid and the solver check their own ranges
         Grid(self.n, self.side_length)
         SolverConfig(self.alpha, self.dt, self.t_end)
-        if not self.snapshot_interval > 0:
-            raise ValueError("snapshot_interval must be positive")
+        if not 0 < self.snapshot_interval < np.inf:
+            raise ValueError(
+                f"snapshot_interval must be positive and finite, got {self.snapshot_interval!r}"
+            )
         if self.initial_condition not in INITIAL_CONDITIONS:
             raise ValueError(f"unknown initial condition {self.initial_condition!r}")
         if self.initial_condition == "file" and not self.ic_file:

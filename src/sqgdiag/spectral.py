@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; loaded here, a tracer can wrap it before use
 
 # relative size (against max(|f|, 1)) of the mean that Riesz velocities and
 # the solver accept as zero
@@ -66,8 +67,8 @@ class Grid:
     def __post_init__(self):
         if self.n <= 0 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a positive power of two, got {self.n}")
-        if not (self.side_length > 0):
-            raise ValueError("side_length must be positive")
+        if not (0 < self.side_length < np.inf):
+            raise ValueError(f"side_length must be positive and finite, got {self.side_length!r}")
 
     @property
     def spacing(self):

@@ -94,6 +94,15 @@ class TestWeightedMeasure:
         assert not pts.flags.writeable
         assert np.array_equal(pts, _sample_plan.__wrapped__(70_000, 12))
 
+    def test_sample_count_validated(self):
+        # a standard error needs two samples; zero or fewer is no plan at all
+        for count in (0, -5):
+            with pytest.raises(ValueError, match="sample_count must be positive"):
+                WeightedRegion(sample_count=count)
+        with pytest.raises(ValueError, match="sample_count must be at least 2"):
+            WeightedRegion(sample_count=1)
+        assert WeightedRegion(sample_count=2).sample_points().shape == (3, 2)
+
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):
             weighted_measure(constant_half_field(), "nope", 0.0, WeightedRegion())

@@ -21,7 +21,14 @@ from sqgdiag.harness import (
     simulate,
     snapshot_schedule,
 )
-from sqgdiag.solver import SolverConfig, audit_energy, check_l2_monotone, read_checkpoint, run
+from sqgdiag.solver import (
+    SolverConfig,
+    audit_energy,
+    check_l2_monotone,
+    read_checkpoint,
+    run,
+    write_checkpoint,
+)
 from sqgdiag.spectral import Grid, ScalarField, evaluate_on_lattice, l2_norm
 
 # config text values: no comment marker, line break or whitespace
@@ -95,6 +102,10 @@ t_end = 0.5
             ("t_end = inf", "config line 1: t_end: .*both finite"),
             ("side_length = -2", "config line 1: side_length: side_length must be positive"),
             ("snapshot_interval = 0", "config line 1: snapshot_interval: .*must be positive"),
+            # infinite lengths: the grid spacing and the snapshot times
+            # would be inf and nan
+            ("n = 32\nside_length = inf", "config line 2: side_length: side_length must be positive"),
+            ("n = 32\nsnapshot_interval = inf", "config line 2: snapshot_interval: .*must be positive"),
             # band limit 0 or below is the identically zero field
             ("ic_k_max = 0", "config line 1: ic_k_max: ic_k_max must be at least 1"),
             ("n = 32\nic_k_max = -3", "config line 2: ic_k_max: ic_k_max must be at least 1"),
@@ -453,6 +464,7 @@ class TestCli:
              "eta must be a number at most 1"),
             (["constants", "--L", "0.7", "--C", "1.2", "--alpha", "0.95", "--eta", "1.5"],
              "eta must be a number at most 1"),
+            (["isoperimetric", "--samples", "1"], "sample_count must be at least 2"),
         ],
     )
     def test_unusable_input_exits_2(self, argv, message, tmp_path, capsys):
@@ -464,6 +476,28 @@ class TestCli:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line,argv,message",
+        [
+            ("side_length = inf", ["simulate", "--config", "{tmp}/run.cfg"],
+             "config line 2: side_length: side_length must be positive"),
+            ("snapshot_interval = inf", ["simulate", "--config", "{tmp}/run.cfg"],
+             "config line 2: snapshot_interval: snapshot_interval must be positive"),
+            ("", ["diagnose", "{tmp}/c.sqgd", "--side-length", "inf"],
+             "side_length must be positive"),
+        ],
+    )
+    def test_infinite_lengths_exit_2(self, line, argv, message, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text(f"n = 32\n{line}\n")
+        grid = Grid(32)
+        x1, _ = grid.coordinates()
+        write_checkpoint(tmp_path / "c.sqgd", ScalarField(grid, np.sin(x1)), 0.95)
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in err
 
     def test_extension_check_subcommand(self, capsys, monkeypatch):
         monkeypatch.setenv("SQG_NO_COLOR", "1")

@@ -10,9 +10,12 @@ oracle or a calibration that only the suite calls lives in ``tests/``.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sqgdiag"
@@ -83,3 +86,46 @@ def test_import_leaves_the_heavy_scipy_subpackages_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy():
+    # numpy and the package only: a fresh interpreter must find neither
+    # scipy nor any of its subpackages in sys.modules afterwards
+    probe = (
+        "import sys, sqgdiag; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            yield node.module
+
+
+def test_no_scipy_import_in_src():
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name in imported_modules(parse(path))
+        if name == "scipy" or name.startswith("scipy.")
+    ]
+    assert found == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower() for r in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert {"scipy", "mpmath"} <= set(names(project["optional-dependencies"]["test"]))
