@@ -157,9 +157,17 @@ def initial_field(config):
 
 @dataclass
 class RunReport:
+    """Sections with their verdicts, stage timings and work counters.
+
+    Counters are named as perfbench's layer metrics (``solver.steps``,
+    ``solver.phi_builds``), so a report and a traced benchmark run compare
+    number for number; a report that counts nothing carries ``{}``.
+    """
+
     config_echo: dict
     sections: list
     timings: dict
+    counters: dict
 
     @property
     def passed(self):
@@ -172,6 +180,7 @@ class RunReport:
                 "config": self.config_echo,
                 "sections": self.sections,
                 "timings": self.timings,
+                "counters": self.counters,
                 "passed": self.passed,
             },
             indent=2,
@@ -225,6 +234,7 @@ def simulate(config, out_dir=None):
             }
         ],
         timings={"simulate_seconds": wall},
+        counters={"solver.steps": result.steps, "solver.phi_builds": result.phi_builds},
     )
     with open(os.path.join(out, "report.json"), "w") as fh:
         fh.write(report.to_json())
@@ -305,6 +315,7 @@ def diagnose(paths, toggles, side_length=2.0 * np.pi, config=None):
         config_echo=asdict(config) if config else {},
         sections=sections,
         timings={"diagnose_seconds": time.perf_counter() - t0},
+        counters={},
     )
 
 
@@ -331,7 +342,7 @@ def extension_report(epsilons=(0.0, 0.05, 0.1), n=64, seed=0):
                 "trace_rel_error": rel,
             }
         )
-    return RunReport(config_echo={}, sections=sections, timings={})
+    return RunReport(config_echo={}, sections=sections, timings={}, counters={})
 
 
 def isoperimetric_report(count=20, seed=2025, samples=100_000):
@@ -350,4 +361,4 @@ def isoperimetric_report(count=20, seed=2025, samples=100_000):
                 "worst_margin": min(r.margin for r in results),
             }
         )
-    return RunReport(config_echo={}, sections=sections, timings={})
+    return RunReport(config_echo={}, sections=sections, timings={}, counters={})

@@ -15,12 +15,16 @@ argument as measurable diagnostics on simulation output:
   backward from V(t_end) = 0;
 * the zoom-recenter-renormalize step producing the next iterate
   theta_{k+1} = (theta(. + V) - m) / rho^delta on the rescaled cylinder,
-  with all bookkeeping bounds re-checked rather than assumed;
+  with all bookkeeping bounds re-checked rather than assumed; it reads its
+  snapshots one at a time, so it may be fed an iterator;
 * the driver that runs the whole iteration, measuring the per-step
   oscillation improvement eta and fitting an empirical decay exponent; it
   stops at the first bookkeeping bound that fails (the measured slow
   velocity against SPLIT_BOUND_CONSTANT among them), and
-  ``IterationResult.passed`` is its one verdict.
+  ``IterationResult.passed`` is its one verdict.  Each step reads only
+  the previous iterate, whose snapshots are freed one by one as their
+  rescaled successors are made, so besides the caller's history the
+  iteration holds at most one generation of iterates.
 
 Every step is zoomed and recentred into one frame: balls about the domain
 centre (``Grid.center``) and time windows that end at t = 1, where
@@ -140,9 +144,13 @@ class ParabolicCylinder:
     def t_start(self):
         return 1.0 - self.radius**self.alpha
 
+    def in_window(self, t):
+        """Whether t_start <= t <= 1, up to TIME_TOL."""
+        return self.t_start - TIME_TOL < t <= 1.0 + TIME_TOL
+
     def window(self, history):
         """The snapshots with t_start <= t <= 1, up to TIME_TOL."""
-        return [f for f in history if self.t_start - TIME_TOL < f.time_stamp <= 1.0 + TIME_TOL]
+        return [f for f in history if self.in_window(f.time_stamp)]
 
     def space_mask(self, grid, shift=(0.0, 0.0)):
         c = grid.center
@@ -375,26 +383,28 @@ def rescale_recenter(history, cyl, path, m, delta, M_k):
     theta_next(x', t') = rho^(-delta) (theta(rho (x' - C) + C + V(tau), tau)
     - m) with tau = 1 - rho^alpha (1 - t').  Snapshots outside cyl's time
     window are dropped; the remaining stamps are relabeled affinely to
-    (0, 1].  The decay-hypothesis precondition and both outer bookkeeping
-    bounds are measured on the produced fields (never assumed); violations
-    are reported as flags, not exceptions.  The outer bound is checked up to
+    (0, 1].  ``history`` is read once, in order, and no snapshot is kept
+    past its turn, so an iterator that hands out snapshots it no longer
+    holds lets each be freed once its successor exists.  The
+    decay-hypothesis precondition and both outer bookkeeping bounds are
+    measured on the produced fields (never assumed); violations are
+    reported as flags, not exceptions.  The outer bound is checked up to
     EDGE_MARGIN of the window half-side: the zoomed patch is re-declared
     periodic, so the outermost rim carries interpolation mismatch and is
     excluded.  M shrinks by rho^(delta - epsilon), epsilon = 1 - alpha.
     """
-    if not history:
-        raise ValueError("empty history")
-    grid = history[0].grid
-    n = grid.n
-    L = grid.side_length
-    C = grid.center
     rho = cyl.radius
     rho_a = rho**cyl.alpha
     scale = rho ** (-delta)
 
+    grid = None
     new_history = []
-    for f in cyl.window(history):
+    for f in history:
+        grid = f.grid
         tau = f.time_stamp
+        if not cyl.in_window(tau):
+            continue
+        C = grid.center
         t_new = 1.0 - (1.0 - tau) / rho_a
         v = path.at(tau)
         offset = (
@@ -402,16 +412,18 @@ def rescale_recenter(history, cyl, path, m, delta, M_k):
             C[1] + v[1] - rho * C[1],
         )
         vals = evaluate_on_lattice(
-            f, (offset[0], offset[1]), (rho * grid.spacing, rho * grid.spacing), (n, n)
+            f, offset, (rho * grid.spacing, rho * grid.spacing), grid.shape
         )
         new_history.append(ScalarField(grid, scale * (vals - m), t_new))
+    if grid is None:
+        raise ValueError("empty history")
     if not new_history:
         raise ValueError("no snapshots fall inside the rescale window")
 
-    d1, d2 = grid.displacement(C)
+    d1, d2 = grid.displacement(grid.center)
     r = np.sqrt(d1 * d1 + d2 * d2)
     inside = r < 1.0
-    check_radius = EDGE_MARGIN * 0.5 * L
+    check_radius = EDGE_MARGIN * 0.5 * grid.side_length
     outer = (r > 1.0) & (r <= check_radius)
     max_inside = 0.0
     worst_ratio = 0.0
@@ -565,6 +577,17 @@ def _slow_evaluator(window, rho):
     return w_slow, splits
 
 
+def _drain(snapshots):
+    """Hand out the entries of a list in order, removing each as it goes.
+
+    The list keeps no entry it has handed out, so the consumer decides how
+    long each one lives.
+    """
+    snapshots.reverse()
+    while snapshots:
+        yield snapshots.pop()
+
+
 def run_iteration_suite(history, config):
     """Execute Step 1 and Steps k >= 2 of the oscillation iteration.
 
@@ -585,7 +608,8 @@ def run_iteration_suite(history, config):
     the suite with ``failure = "<bound> failed at step k"``, after the
     step's record.  A frame that no longer covers its cylinder also ends
     it, with a structured failure rather than an exception.  ``passed`` on
-    the result is the verdict.
+    the result is the verdict.  The caller's ``history`` is left as it is;
+    each later iterate is released as its successor is made.
     """
     if not history:
         raise ValueError("empty history")
@@ -606,7 +630,7 @@ def run_iteration_suite(history, config):
     inside = d1 * d1 + d2 * d2 < 1.0
 
     records = []
-    current = history
+    current = list(history)  # the suite's own list: it drains it, not the caller's
     M_k = M
     delta = config.delta
     eta_min = np.inf
@@ -637,12 +661,9 @@ def run_iteration_suite(history, config):
             failure = f"no snapshots in the flow window at step {k}"
             break
         w_slow, split_list = _slow_evaluator(window, None if k == 1 else rho)
-        w2_sup = 0.0
-        w3_sup = 0.0
-        for sp in split_list:
-            s2, s3 = sp.sup_slow_components(sample_pts)
-            w2_sup = max(w2_sup, s2)
-            w3_sup = max(w3_sup, s3)
+        sups = [sp.sup_slow_components(sample_pts) for sp in split_list]
+        w2_sup = max([0.0] + [s2 for s2, _ in sups])
+        w3_sup = max([0.0] + [s3 for _, s3 in sups])
 
         split_bound_ok = None
         if k >= 2:
@@ -660,8 +681,16 @@ def run_iteration_suite(history, config):
         )
         m = 0.5 * (vmax + vmin)
         m = float(np.clip(m, -1.0 + rho**delta, 1.0 - rho**delta))
+        truncated_split = any(sp.truncated for sp in split_list)
+        far_empty = all(sp.far_empty for sp in split_list)
 
-        new_history, outcome = rescale_recenter(current, flow_cyl, path, m, delta, M_k)
+        # the next iterate reads nothing older than this one: drop every
+        # other reference to this generation, so that each snapshot is freed
+        # as soon as its rescaled successor exists
+        del window, split_list, w_slow
+        new_history, outcome = rescale_recenter(
+            _drain(current), flow_cyl, path, m, delta, M_k
+        )
         # over every produced slice, t' = 0 included
         new_min, new_max = _extremes(f.values[inside] for f in new_history)
         produced_osc = new_max - new_min
@@ -681,8 +710,8 @@ def run_iteration_suite(history, config):
                 containment_ok=containment_ok,
                 split_bound_ok=split_bound_ok,
                 bounds=outcome,
-                truncated_split=any(sp.truncated for sp in split_list),
-                far_empty=all(sp.far_empty for sp in split_list),
+                truncated_split=truncated_split,
+                far_empty=far_empty,
             )
         )
         flags = (

@@ -12,9 +12,11 @@ The integrator works on the rfft2 half spectrum through the grid's shared
 and the ``spectral.rfft2``/``irfft2`` pair.  The dissipation symbol is
 radial, so the phi-function tables of a step size are evaluated once per
 distinct |k| (6801 radii for the 33 024 modes of a 256^2 grid) and
-scattered onto the modes.  Each solver allocates its work arrays once; a
-warm ETD-RK4 step then allocates only the new state, so its transforms
-take no page faults.
+scattered onto the modes.  A solver keeps the tables of its
+PHI_CACHE_SIZE most recently used step sizes; a table rebuilt after its
+eviction equals its first build.  Each solver allocates its work arrays
+once; a warm ETD-RK4 step then allocates only the new state, so its
+transforms take no page faults.
 
 Energy bookkeeping follows the level-set truncations theta_lambda =
 (theta - lambda)_+.  The audit checks, for every level and every ordered
@@ -37,6 +39,7 @@ their norms from the snapshots alone.
 """
 
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +63,11 @@ AUDIT_REL_TOLERANCE = 1e-6  # per-pair slack of the energy audit, relative to ||
 LINF_SLOPE_SLACK = 0.2  # allowed excess of the fitted L-infinity slope over -1/alpha
 L2_MONOTONE_SLACK = 1e-8  # allowed relative growth of the L2 norm between snapshots
 LINF_FIT_START = 0.1  # first time of the L-infinity decay fit
+# Phi-table sets a solver keeps, the least recently used evicted first.  A
+# set is 8 half-spectrum tables (2.1 MB at 256^2).  A snapshot schedule uses
+# each sub-step size over one stretch of time (14 sizes on 20 uniform gaps,
+# 22 on the nested iteration schedule), so none returns to an evicted size.
+PHI_CACHE_SIZE = 8
 
 
 class BlowUpError(RuntimeError):
@@ -130,13 +138,14 @@ class SqgSolver:
     """Pseudo-spectral SQG integrator on a fixed grid.
 
     Works internally on the rfft2 half-spectrum of the real state (the
-    Hermitian-redundant modes are never stored).  The solver owns its work
-    arrays: one complex scratch for the transforms, the physical fields of
-    the nonlinear term and the ETD-RK4 stage arrays, all allocated once and
-    reused on every step, so one solver steps one state at a time.  The
-    evolving field is not among them: stepping takes a coefficient array and
-    returns a fresh one, so snapshots can be audited concurrently with
-    further stepping.
+    Hermitian-redundant modes are never stored).  ``steps`` and
+    ``phi_builds`` count the steps taken and the phi-table sets built.  The
+    solver owns its work arrays: one complex scratch for the transforms,
+    the physical fields of the nonlinear term and the ETD-RK4 stage arrays,
+    all allocated once and reused on every step, so one solver steps one
+    state at a time.  The evolving field is not among them: stepping takes
+    a coefficient array and returns a fresh one, so snapshots can be
+    audited concurrently with further stepping.
     """
 
     def __init__(self, grid, config):
@@ -147,7 +156,9 @@ class SqgSolver:
         # from it are scattered onto the modes by op.radius_index
         radii = self.op.radii
         self.rate = -(radii**config.alpha)
-        self._coeff_cache = {}
+        self._coeff_cache = OrderedDict()
+        self.steps = 0
+        self.phi_builds = 0
         half = self.op.magnitude.shape
         self._scratch = np.empty(half, dtype=np.complex128)
         self._u, self._v, self._tx, self._ty = (np.empty(grid.shape) for _ in range(4))
@@ -157,15 +168,21 @@ class SqgSolver:
         }
 
     def _coefficients(self, dt):
+        cache = self._coeff_cache
         key = float(dt)
-        if key not in self._coeff_cache:
-            z = self.rate * dt
-            tables = _phi_coefficients(z, dt)
-            tables["exp_full"] = np.exp(z)
-            tables["exp_half"] = np.exp(self.rate * dt / 2.0)
-            index = self.op.radius_index
-            self._coeff_cache[key] = {k: v[index] for k, v in tables.items()}
-        return self._coeff_cache[key]
+        if key in cache:
+            cache.move_to_end(key)
+            return cache[key]
+        z = self.rate * dt
+        tables = _phi_coefficients(z, dt)
+        tables["exp_full"] = np.exp(z)
+        tables["exp_half"] = np.exp(self.rate * dt / 2.0)
+        index = self.op.radius_index
+        cache[key] = {k: v[index] for k, v in tables.items()}
+        if len(cache) > PHI_CACHE_SIZE:
+            cache.popitem(last=False)
+        self.phi_builds += 1
+        return cache[key]
 
     def nonlinear_spectral(self, that, record_speed=False, out=None):
         """Spectral tendency of the advection term: -fft(w . grad theta).
@@ -199,6 +216,7 @@ class SqgSolver:
         Returns a fresh array; ETD-RK4 allocates nothing else.
         """
         c = self._coefficients(dt)
+        self.steps += 1
         if self.config.integrator == "etd_rk2":
             n0 = self.nonlinear_spectral(that)
             a = c["exp_full"] * that + c["phi1"] * n0
@@ -248,18 +266,24 @@ class SimulationResult:
     times: np.ndarray  # per-step times
     l2_norms: np.ndarray
     linf_norms: np.ndarray
+    steps: int  # ETD steps taken
+    phi_builds: int  # phi-table sets built, rebuilds after eviction included
 
 
 def run(theta0, config, snapshot_times=None):
     """Integrate from theta0 to t_end, saving snapshots at requested times.
 
-    Snapshot times are hit exactly: each gap is covered with uniform
-    sub-steps no longer than config.dt.  A requested time outside
-    [theta0.time_stamp, t_end], beyond 1e-9 max(1, t_end) of rounding, is a
-    ValueError, and so is an empty request; a time within that rounding
-    below the start stores the initial field.  ``final`` is the last
-    snapshot.  Per-step L2 and L-infinity norms are recorded for the decay
-    diagnostics.  Deterministic for fixed input.
+    Each gap is covered with uniform sub-steps no longer than config.dt.  A
+    snapshot is stamped with the running sum of those sub-steps, not with
+    the requested time: a snapshot requested at 0.1 is stamped
+    0.09999999999999999.  Stamping the requested time moves the
+    benchmark's reference scalars, so it waits for ROADMAP item 3.  A
+    requested time outside [theta0.time_stamp, t_end], beyond
+    1e-9 max(1, t_end) of rounding, is a ValueError, and so is an empty
+    request; a time within that rounding below the start stores the initial
+    field.  ``final`` is the last snapshot.  Per-step L2 and L-infinity
+    norms are recorded for the decay diagnostics.  ``steps`` and
+    ``phi_builds`` are the solver's counts.  Deterministic for fixed input.
     """
     require_mean_zero(theta0, "the solver")
     grid = theta0.grid
@@ -328,6 +352,8 @@ def run(theta0, config, snapshot_times=None):
         times=np.asarray(times),
         l2_norms=np.asarray(l2s),
         linf_norms=np.asarray(linfs),
+        steps=solver.steps,
+        phi_builds=solver.phi_builds,
     )
 
 

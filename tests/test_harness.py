@@ -371,6 +371,28 @@ class TestCli:
         assert "PASS l2_monotone" in captured.out
         assert "PASS energy_audit" in captured.out
 
+    def test_simulate_reports_the_solver_counters(self, tmp_path, capsys):
+        # the decay_pipeline member of seed 100 at n = 32: 500 steps over 20
+        # gaps of 0.1, which take 14 distinct sub-step sizes
+        out_dir = tmp_path / "out"
+        cfg = RunConfig(
+            n=32, alpha=0.95, dt=4e-3, t_end=2.0, seed=100,
+            initial_condition="random_band_limited", ic_k_max=8,
+            snapshot_interval=0.1, output_dir=str(out_dir),
+        )
+        (tmp_path / "run.cfg").write_text(cfg.to_text())
+        assert main(["simulate", "--config", str(tmp_path / "run.cfg")]) == 0
+        printed = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        saved = json.loads((out_dir / "report.json").read_text())
+        counts = {"solver.steps": 500, "solver.phi_builds": 14}
+        assert printed["counters"] == saved["counters"] == counts
+
+        checkpoints = sorted(str(p) for p in out_dir.glob("checkpoint_*.sqgd"))
+        diag_dir = tmp_path / "diag"
+        assert main(["diagnose", *checkpoints, "--checks", "l2_monotone",
+                     "--out", str(diag_dir)]) == 0
+        assert json.loads((diag_dir / "report.json").read_text())["counters"] == {}
+
     def test_energy_audit_subcommand(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SQG_NO_COLOR", "1")
         out_dir = tmp_path / "out"

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -404,6 +405,42 @@ class TestRescaleRecenter:
         expected = 1.0 - (1.0 - self.times) / self.rho**self.alpha
         assert np.allclose(got, expected, atol=1e-12)
 
+    def test_one_shot_generator_matches_list(self):
+        # a snapshot before the window as well, which is read and dropped
+        x1, x2 = self.grid.coordinates()
+        times = np.concatenate([[0.5], self.times])
+
+        def snapshot(t):
+            return ScalarField(self.grid, 0.3 * np.sin(x1 + t) * np.cos(x2 - 2 * t), t)
+
+        args = (self.cyl, self.path, 0.01, 0.1, 1.0)
+        from_list, out_list = rescale_recenter([snapshot(t) for t in times], *args)
+        handed_out = []
+
+        def one_shot():
+            for t in times:
+                # only the snapshot being rescaled may outlive its turn
+                assert all(r() is None for r in handed_out[:-1])
+                f = snapshot(t)
+                handed_out.append(weakref.ref(f))
+                yield f
+
+        from_gen, out_gen = rescale_recenter(one_shot(), *args)
+        assert len(handed_out) == len(times)
+        assert all(r() is None for r in handed_out)
+        assert out_gen == out_list
+        assert len(from_gen) == len(from_list) == len(self.times)
+        for a, b in zip(from_gen, from_list):
+            assert a.time_stamp == b.time_stamp
+            assert np.array_equal(a.values, b.values)
+
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(ValueError, match="empty history"):
+            rescale_recenter(iter([]), self.cyl, self.path, 0.0, 0.1, 1.0)
+        early = [ScalarField(self.grid, np.zeros(self.grid.shape), 0.5)]
+        with pytest.raises(ValueError, match="no snapshots"):
+            rescale_recenter(iter(early), self.cyl, self.path, 0.0, 0.1, 1.0)
+
 
 def decaying_mode_history():
     """The analytically decaying mode sin(x1 - L/2) e^-t on the nested
@@ -531,6 +568,28 @@ class TestIterationSuite:
         assert res.completed_steps == 1
         assert "outer bound" in res.failure and "step 1" in res.failure
         assert res.passed is False
+
+    def test_each_generation_is_freed_once_its_successor_exists(self, monkeypatch):
+        rescale = oscillation_module.rescale_recenter
+        generations, alive = [], []
+
+        def recording(*args):
+            new_history, outcome = rescale(*args)
+            if generations:
+                alive.append(sum(r() is not None for r in generations[-1]))
+            generations.append([weakref.ref(f) for f in new_history])
+            return new_history, outcome
+
+        monkeypatch.setattr(oscillation_module, "rescale_recenter", recording)
+        hist, M = decaying_mode_history()
+        given_snapshots = list(hist)
+        res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3))
+        assert res.passed, res.failure
+        assert len(generations) == 3 and all(generations)
+        # the iterates of steps 1 and 2, as the rescales of steps 2 and 3 return
+        assert alive == [0, 0]
+        assert len(hist) == len(given_snapshots)
+        assert all(a is b for a, b in zip(hist, given_snapshots))
 
     def test_uncovered_frame_is_a_structured_failure(self):
         # a first stamp past the coverage slack of 1e-9: Q_1 cannot be

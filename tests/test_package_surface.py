@@ -77,8 +77,8 @@ def test_scan_ignores_comments_docstrings_and_strings():
 
 
 def test_import_leaves_the_heavy_scipy_subpackages_out():
-    # import sqgdiag loads numpy, scipy.special and the package: a fresh
-    # interpreter must not find these in sys.modules afterwards
+    # import sqgdiag loads numpy and the package, and no scipy module: a
+    # fresh interpreter must not find these in sys.modules afterwards
     heavy = ["scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate", "scipy.optimize"]
     probe = f"import sys, sqgdiag; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -353,6 +353,68 @@ class TestWorkspace:
                 assert not np.shares_memory(a.values, b.values)
 
 
+class TestPhiCache:
+    """At most PHI_CACHE_SIZE phi-table sets, least recently used evicted."""
+
+    @staticmethod
+    def cycling_run(monkeypatch, widths, repeats):
+        # gaps that cycle through dyadic widths, one sub-step each, so every
+        # step size recurs exactly after all the others were used
+        made = []
+
+        class Recording(SqgSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(solver_mod, "SqgSolver", Recording)
+        times = np.cumsum(list(widths) * repeats)
+        g = Grid(32)
+        theta = random_band_limited(g, 4, [31, 0, 0], amplitude=0.5)
+        cfg = SolverConfig(alpha=0.95, dt=1 / 64, t_end=float(times[-1]))
+        res = run(theta, cfg, snapshot_times=times)
+        (solver,) = made
+        return res, solver
+
+    def test_cycling_schedule_keeps_the_bound_and_the_history(self, monkeypatch):
+        widths = [k / 1024 for k in range(1, solver_mod.PHI_CACHE_SIZE + 3)]
+        bounded, solver = self.cycling_run(monkeypatch, widths, 3)
+        assert len(solver._coeff_cache) == solver_mod.PHI_CACHE_SIZE
+        # a cycle longer than the cache misses on every step
+        assert bounded.phi_builds == bounded.steps == 3 * len(widths)
+
+        monkeypatch.setattr(solver_mod, "PHI_CACHE_SIZE", 10**6)
+        unbounded, solver = self.cycling_run(monkeypatch, widths, 3)
+        assert unbounded.phi_builds == len(solver._coeff_cache) == len(widths)
+        assert len(bounded.history) == len(unbounded.history) == 3 * len(widths)
+        for a, b in zip(bounded.history, unbounded.history):
+            assert a.time_stamp == b.time_stamp
+            assert np.array_equal(a.values, b.values)
+
+    def test_rebuilt_table_equals_its_first_build(self, grid):
+        solver = SqgSolver(grid, SolverConfig(alpha=0.95, dt=0.1, t_end=1.0))
+        first = solver._coefficients(1e-3)
+        for k in range(solver_mod.PHI_CACHE_SIZE):
+            solver._coefficients(2e-3 + k * 1e-4)
+        assert 1e-3 not in solver._coeff_cache
+        again = solver._coefficients(1e-3)
+        assert again is not first
+        assert solver.phi_builds == solver_mod.PHI_CACHE_SIZE + 2
+        assert sorted(again) == sorted(first)
+        for name, table in first.items():
+            assert np.array_equal(again[name], table), name
+
+    def test_use_refreshes_a_table(self, grid):
+        solver = SqgSolver(grid, SolverConfig(alpha=0.95, dt=0.1, t_end=1.0))
+        sizes = [1e-3 * (k + 1) for k in range(solver_mod.PHI_CACHE_SIZE)]
+        for dt in sizes:
+            solver._coefficients(dt)
+        solver._coefficients(sizes[0])  # now the most recently used
+        solver._coefficients(1.0)  # evicts sizes[1], the least recently used
+        assert sizes[0] in solver._coeff_cache and sizes[1] not in solver._coeff_cache
+        assert solver.phi_builds == solver_mod.PHI_CACHE_SIZE + 1
+
+
 class TestTruncateLevel:
     def test_below_min(self, grid):
         theta = single_mode(grid)
