@@ -45,7 +45,6 @@ from .degiorgi import (
 from .oscillation import (
     IterationConfig,
     ParabolicCylinder,
-    oscillation,
     recenter_flow,
     rescale_recenter,
     run_iteration_suite,

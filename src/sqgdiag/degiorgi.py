@@ -95,18 +95,11 @@ def _sample_plan(n, seed):
     return pts
 
 
-def interpolate_extension(ext, x1, x2, z):
-    """Trilinear sampling of an extension field, points relative to the centre.
-
-    Periodic in the horizontal directions, linear in z with clamping to the
-    sampled range.
-    """
-    return _trilinear(ext.values, _trilinear_plan(ext, x1, x2, z))
-
-
 def _trilinear_plan(ext, x1, x2, z):
-    """Corner indices and weights of ``interpolate_extension`` at the points.
+    """Corner indices and weights of trilinear sampling at the points.
 
+    The points are relative to the centre; the sampling is periodic in the
+    horizontal directions and linear in z, clamped to the sampled range.
     The plan depends only on the lattice (grid and z-levels), so one plan
     serves every field sampled on that lattice at the same points:
     ``isoperimetric_check`` applies it to each member and to its gradient.
@@ -171,7 +164,7 @@ def weighted_measure(ext, predicate, eps, mc):
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     pts = mc.sample_points()
-    w = interpolate_extension(ext, *pts)
+    w = _trilinear(ext.values, _trilinear_plan(ext, *pts))
     return _mc_mean(np.where(PREDICATES[predicate](w), pts[2] ** eps, 0.0), mc)
 
 
@@ -307,21 +300,8 @@ class LocalEnergyResult:
     rhs_terms: dict
     constant: float
     budget: float
-    velocity_norm: float  # sup_t ||w||_{L^(2n/alpha)(B_2)}
     margin: float  # total rhs + budget - total lhs
     passed: bool  # margin >= 0
-
-
-def velocity_local_norm(vel, alpha):
-    """||w||_{L^(2n/alpha)(B_2)} on the grid (n = 2), B_2 at the domain centre."""
-    grid = vel.grid
-    d1, d2 = grid.displacement(grid.center)
-    inside = d1 * d1 + d2 * d2 < 4.0
-    p = 4.0 / alpha
-    speed = np.sqrt(vel.u**2 + vel.v**2)
-    return float(
-        (np.sum(np.where(inside, speed**p, 0.0)) * grid.spacing**2) ** (1.0 / p)
-    )
 
 
 def extension_cutoff(grid, z_levels):
@@ -348,13 +328,21 @@ def extension_cutoff(grid, z_levels):
 def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     """Quadrature check of the cutoff level-set energy inequality.
 
+    With psi = (theta - level)_+ and eta the cutoff: the z^eps-weighted
+    dissipation of eta psi over [t1, t2] plus the end energy of eta psi at
+    z = 0 is at most the start energy plus C1 times the |grad eta|^2 psi^2
+    integrals, on z = 0 and z^eps-weighted over the extension.  There is no
+    drift term: the inequalities of Caffarelli & Vasseur (Ann. of Math. 171,
+    2010) carry one, and adding it would loosen the check.
+
     history: ExtensionField snapshots on one lattice (grid, z-levels and
-    weight exponent of history[0]); velocities: VelocityField snapshots on
-    the same time grid; cutoff: (n, n) or (n_z, n, n) of that lattice (all
-    validated).  All integrals of the bound are evaluated with the
-    z^eps-weighted trapezoid in z, grid sums in x and trapezoid in t; the
-    declared budget adds the per-snapshot quadrature estimates and a
-    relative floor.  Every term is formed only on the cutoff's support box
+    weight exponent of history[0]); velocities: VelocityField snapshots,
+    which are only matched against the history's time grid and enter no
+    term; cutoff: (n, n) or (n_z, n, n) of that lattice (all validated).
+    All integrals of the bound are evaluated with the z^eps-weighted
+    trapezoid in z, grid sums in x and trapezoid in t; the declared budget
+    adds the per-snapshot quadrature estimates and a relative floor.  Every
+    term is formed only on the cutoff's support box
     (``extension.cutoff_box``), where each snapshot is truncated, since
     every integrand carries the cutoff or its gradient.  Returns terms,
     budget, margin = total rhs + budget - total lhs, and the pass flag
@@ -382,7 +370,6 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
                 f"snapshot {j} is not on the lattice of snapshot 0 "
                 "(grid, z-levels and weight exponent must match)"
             )
-    alpha = 1.0 - eps
     h2 = grid.spacing**2
     cut, box = cutoff_box(cutoff, first.values.shape)
     eta = cut[:, box[0], box[1]]
@@ -396,7 +383,6 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     rhs_x = np.empty(len(sel))
     rhs_ext = np.empty(len(sel))
     boundary_energy = np.empty(len(sel))
-    vnorms = np.empty(len(sel))
     for idx, j in enumerate(sel):
         psi = history[j].values[:, box[0], box[1]] - level
         np.maximum(psi, 0.0, out=psi)
@@ -406,7 +392,6 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
         rhs_x[idx] = np.sum(grad_eta_sq[0] * psi[0]) * h2
         per_level = np.sum(grad_eta_sq * psi, axis=(1, 2)) * h2
         rhs_ext[idx] = weighted_z_integral(z, per_level, eps)
-        vnorms[idx] = velocity_local_norm(velocities[j], alpha)
 
     tt = times[sel]
     def time_trapezoid(series):
@@ -434,7 +419,6 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
         rhs_terms=rhs,
         constant=C1,
         budget=budget,
-        velocity_norm=float(np.max(vnorms)),
         margin=margin,
         passed=bool(margin >= 0.0),
     )

@@ -10,14 +10,14 @@ phi is evaluated by the modified-Bessel closed form
 phi(s) = s^nu K_nu(s) / (2^(nu-1) Gamma(nu)) with nu = (1 - eps)/2
 (Caffarelli & Silvestre, Comm. PDE 32, 2007), so 0 < nu <= 1/2.  Gamma
 comes from ``math.gamma`` and K_nu from the package's own kernel
-``_bessel_k``, in three ranges of the argument: Temme's series below 2,
-Steed's continued fraction CF2 up to 20 (both as in Numerical Recipes 6.7,
-``bessik``) and Hankel's asymptotic series beyond, which terminates at
-nu = 1/2, where phi_0(s) = exp(-s).  So importing the package loads no
-scipy.  The test suite holds the kernel to 2e-14 relative of
-``mpmath.besselk`` at 40 digits and to ``scipy.special.kv``; phi's
-independent oracle, a stiff ODE integration started from the large-s
-asymptotics, lives in ``tests/oracles.py``, and the two must agree to 1e-8.
+``_bessel_k``: at nu = 1/2 its closed form sqrt(pi / (2 s)) exp(-s), where
+phi_0(s) = exp(-s), and otherwise Temme's series below s = 2 and Steed's
+continued fraction CF2 from there on (both as in Numerical Recipes 6.7,
+``bessik``).  So importing the package loads no scipy.  The test suite
+holds the kernel to 2e-14 relative of ``mpmath.besselk`` at 40 digits and
+to ``scipy.special.kv``; phi's independent oracle, a stiff ODE integration
+started from the large-s asymptotics, lives in ``tests/oracles.py``, and
+the two must agree to 1e-8.
 
 The multiplier is radial, so ``extend`` evaluates the closed form once per
 distinct |k| of the rfft2 half spectrum (6801 values for the 33 024 modes
@@ -43,9 +43,6 @@ from .spectral import Grid, ScalarField, fractional_laplacian, half_spectrum, ir
 
 # exp(-s) is 0 in double precision from here on, and so are K_nu(s) and phi
 EXP_UNDERFLOW = 746.0
-# Hankel's series at x >= 20 with 26 terms: the first omitted term is below 1e-17
-HANKEL_FROM = 20.0
-HANKEL_TERMS = 26
 # Taylor coefficients of 1/Gamma(1 + x) at x^1, x^3, ..., x^21 (mpmath, 50 digits)
 RGAMMA_ODD = (
     0.5772156649015329, -0.04200263503409524, -0.04219773455554433,
@@ -75,20 +72,20 @@ def extension_profile(s, epsilon):
 def _bessel_k(nu, x):
     """K_nu(x) for 0 < nu <= 1/2 on a 1-d array of finite x > 0.
 
-    Each range's constants depend on nu alone and are computed once per
-    call.  Below x = 2 Temme's series, from 2 to HANKEL_FROM Steed's CF2
-    (both Numerical Recipes 6.7, ``bessik``), beyond that Hankel's
-    asymptotic series, which is exact at every x for nu = 1/2.  Relative
-    error about 1e-14 at worst, just below x = 2, where Temme's first term
-    cancels against the rest.
+    At nu = 1/2 the closed form sqrt(pi / (2 x)) exp(-x), so that
+    phi_0(s) = exp(-s) exactly.  Otherwise Temme's series below x = 2 and
+    Steed's CF2 from there on (both Numerical Recipes 6.7, ``bessik``), with
+    each range's constants computed once per call from nu.  Relative error
+    about 1e-14 at worst, just below x = 2, where Temme's first term cancels
+    against the rest.
     """
+    if nu == 0.5:
+        # sqrt(pi / (2 x)) in two roots, which stay finite at subnormal x
+        return math.sqrt(0.5 * math.pi) / np.sqrt(x) * np.exp(-x)
     out = np.empty_like(x)
-    large = (x >= HANKEL_FROM) | (nu == 0.5)
-    small = (x < 2.0) & ~large
-    middle = ~(small | large)
+    small = x < 2.0
     out[small] = _k_temme(nu, x[small])
-    out[middle] = _k_steed(nu, x[middle])
-    out[large] = _k_hankel(nu, x[large])
+    out[~small] = _k_steed(nu, x[~small])
     return out
 
 
@@ -164,27 +161,6 @@ def _k_steed(nu, x):
                 v[keep] for v in (active, b, d, delh, q1, q2, q, s)
             )
     return np.sqrt(0.5 * np.pi / x) * np.exp(-x) / series
-
-
-def _k_hankel(nu, x):
-    """K_nu by Hankel's asymptotic series in 1/x, for x >= HANKEL_FROM.
-
-    The coefficients carry the factor 4 nu^2 - 1, so at nu = 1/2 the series
-    is exactly 1 and K_1/2(x) = sqrt(pi / (2 x)) exp(-x).
-    """
-    mu = 4.0 * nu * nu
-    coef = [1.0]
-    for k in range(1, HANKEL_TERMS + 1):
-        a = coef[-1] * (mu - (2 * k - 1) ** 2) / (8 * k)
-        if a == 0.0:
-            break
-        coef.append(a)
-    acc = np.full_like(x, coef[-1])
-    for a in reversed(coef[:-1]):
-        acc /= x
-        acc += a
-    # sqrt(pi / (2 x)) in two roots, which stay finite at subnormal x
-    return math.sqrt(0.5 * math.pi) / np.sqrt(x) * np.exp(-x) * acc
 
 
 @dataclass

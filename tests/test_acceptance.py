@@ -270,6 +270,7 @@ def test_criterion_10_iteration_suite():
         theta0, SolverConfig(alpha=alpha, dt=4e-3, t_end=t_end), snapshot_times=sched
     )
     window, M = normalize_window(res.history, t_end=t_end)
+    del res  # the iteration reads only the normalized copy
     outcome = run_iteration_suite(
         window, IterationConfig(rho=rho, M=M, alpha=alpha, steps=steps)
     )

@@ -14,7 +14,6 @@ from oracles import dtn_constant_analytic, extension_profile_ode
 from sqgdiag.degiorgi import extension_cutoff
 from sqgdiag.extension import (
     EXP_UNDERFLOW,
-    HANKEL_FROM,
     ExtensionField,
     _bessel_k,
     _profile_table,
@@ -115,15 +114,15 @@ def bessel_k(nu, x):
         return _bessel_k(nu, np.asarray(x, dtype=float))
 
 
-# arguments on both sides of every range boundary of the kernel: Temme's
-# series below 2, Steed's CF2 below HANKEL_FROM, Hankel's series beyond
+# arguments on both sides of the kernel's range boundary at 2 (Temme's series
+# below, Steed's CF2 from there on), and of 20 and 30 further out in CF2
 BOUNDARIES = [
-    v for b in (2.0, HANKEL_FROM, 30.0) for v in (np.nextafter(b, 0.0), b, np.nextafter(b, 1e3))
+    v for b in (2.0, 20.0, 30.0) for v in (np.nextafter(b, 0.0), b, np.nextafter(b, 1e3))
 ]
 ARGUMENTS = st.one_of(
     st.floats(-10.0, math.log10(690.0)).map(lambda e: 10.0**e),
     st.floats(1.5, 2.5),
-    st.floats(HANKEL_FROM - 3.0, 33.0),
+    st.floats(17.0, 33.0),
     st.sampled_from(BOUNDARIES),
 )
 ORDERS = st.floats(0.005, 0.5)
@@ -143,7 +142,7 @@ class TestBesselKernel:
 
     @pytest.mark.parametrize("nu", [0.005, 0.05, 0.25, 0.4, 0.45, 0.475, 0.5])
     def test_matches_mpmath_on_a_sweep(self, nu):
-        # one batch across all three ranges, so elements leave the CF2 loop
+        # one batch across both ranges, so elements leave the CF2 loop
         # at different iterations
         x = np.concatenate([np.geomspace(1e-10, 690.0, 300), BOUNDARIES])
         expected = np.array([besselk_mpmath(nu, v) for v in x])
@@ -169,8 +168,16 @@ class TestBesselKernel:
         # nu = (1 - eps) / 2 >= 2^-54 for every eps in [0, 1)
         assert math.gamma(nu) == pytest.approx(scipy.special.gamma(nu), rel=2e-15)
 
+    def test_half_order_is_the_closed_form(self):
+        # nu = 1/2 is sqrt(pi / (2 x)) exp(-x) bit for bit, down to subnormal results
+        x = np.concatenate([np.geomspace(5e-324, 745.0, 4000), np.linspace(700.0, 745.0, 451)])
+        with np.errstate(under="ignore"):
+            expected = math.sqrt(0.5 * math.pi) / np.sqrt(x) * np.exp(-x)
+        assert np.any((expected > 0.0) & (expected < np.finfo(float).tiny))
+        assert np.array_equal(bessel_k(0.5, x), expected)
+
     def test_poisson_limit_is_exp(self):
-        # at nu = 1/2 Hankel's series terminates and phi_0(s) = exp(-s)
+        # at nu = 1/2 the kernel is its closed form and phi_0(s) = exp(-s)
         s = np.concatenate([np.geomspace(1e-12, 740.0, 20_000), np.linspace(0.0, 40.0, 4001)])
         phi = extension_profile(s, 0.0)
         expected = np.exp(-s)

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,15 @@ def test_every_top_level_name_is_read_outside_its_definition():
 def test_scan_ignores_comments_docstrings_and_strings():
     tree = ast.parse('"""uses SPLIT"""\n# SPLIT\nx = "SPLIT"\ny = f(z).SPLIT\n')
     assert [read_names(s) for s in tree.body] == [set(), set(), {"f", "z", "SPLIT"}]
+
+
+def test_submodules_are_package_attributes():
+    # a package-level re-export must not rebind a submodule's name
+    import sqgdiag
+
+    names = ("spectral", "solver", "extension", "degiorgi", "oscillation", "constants", "harness")
+    kinds = {name: type(getattr(sqgdiag, name, None)) for name in names}
+    assert kinds == dict.fromkeys(names, types.ModuleType)
 
 
 def test_import_leaves_the_heavy_scipy_subpackages_out():
