@@ -19,7 +19,9 @@ where the vanishing weight suppresses the boundary stencil error.
 
 The isoperimetric check takes a whole family: its members share one sample
 set, and one trilinear sample plan is built per distinct lattice (grid and
-z-levels) for the length of that one call.
+z-levels) for the length of that one call.  Both set-measure paths build
+a field's (n_z, n, n) stack once per call; the local energy check builds
+one level at a time (``ExtensionField.level``) and keeps its cutoff's box.
 """
 
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ import numpy as np
 from .extension import (
     ExtensionField,
     _box_dirichlet,
+    _levels_on_box,
     _z_derivative,
     cutoff_box,
     extend,
@@ -160,12 +163,19 @@ def weighted_measure(ext, predicate, eps, mc):
     """Monte Carlo estimate of int_{set} z^eps dX over B_1^*.
 
     Returns (estimate, standard_error); deterministic for a fixed seed.
+    The trilinear plan is built and applied MC_CHUNK samples at a time;
+    the sampling is pointwise, so the samples equal those of one plan.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
+    values = ext.values
     pts = mc.sample_points()
-    w = _trilinear(ext.values, _trilinear_plan(ext, *pts))
-    return _mc_mean(np.where(PREDICATES[predicate](w), pts[2] ** eps, 0.0), mc)
+    samples = []
+    for start in range(0, pts.shape[1], MC_CHUNK):
+        x1, x2, z = pts[:, start : start + MC_CHUNK]
+        w = _trilinear(values, _trilinear_plan(ext, x1, x2, z))
+        samples.append(np.where(PREDICATES[predicate](w), z**eps, 0.0))
+    return _mc_mean(np.concatenate(samples), mc)
 
 
 def _gradient_squared(v, h, z):
@@ -222,10 +232,9 @@ def isoperimetric_check(fields, eps, constant_C, mc):
 
 def _isoperimetric_member(ext, plan, zw, constant_C, mc):
     """One member's ``IsoperimetricResult`` on its lattice's sample plan."""
-    grad_sq = _gradient_squared(
-        np.clip(ext.values, 0.0, 1.0), ext.base_grid.spacing, ext.z_levels
-    )
-    w = _trilinear(ext.values, plan)
+    values = ext.values  # built once, for the clamp and the sampling
+    grad_sq = _gradient_squared(np.clip(values, 0.0, 1.0), ext.base_grid.spacing, ext.z_levels)
+    w = _trilinear(values, plan)
     measures = {
         name: _mc_mean(np.where(PREDICATES[p](w), zw, 0.0), mc)
         for name, p in (("low", "le_zero"), ("high", "ge_one"), ("strip", "between"))
@@ -343,8 +352,9 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     trapezoid in z, grid sums in x and trapezoid in t; the declared budget
     adds the per-snapshot quadrature estimates and a relative floor.  Every
     term is formed only on the cutoff's support box
-    (``extension.cutoff_box``), where each snapshot is truncated, since
-    every integrand carries the cutoff or its gradient.  Returns terms,
+    (``extension.cutoff_box``), since every integrand carries the cutoff or
+    its gradient: each snapshot's levels are built one at a time and cut to
+    the box, so one full level is alive at a time.  Returns terms,
     budget, margin = total rhs + budget - total lhs, and the pass flag
     margin >= 0.
     """
@@ -371,7 +381,7 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
                 "(grid, z-levels and weight exponent must match)"
             )
     h2 = grid.spacing**2
-    cut, box = cutoff_box(cutoff, first.values.shape)
+    cut, box = cutoff_box(cutoff, first.shape)
     eta = cut[:, box[0], box[1]]
     # finite-difference gradient of the cutoff (one-sided in z at the ends)
     grad_eta_sq = _gradient_squared(
@@ -383,8 +393,10 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     rhs_x = np.empty(len(sel))
     rhs_ext = np.empty(len(sel))
     boundary_energy = np.empty(len(sel))
+    psi = np.empty((len(z),) + eta.shape[1:])
     for idx, j in enumerate(sel):
-        psi = history[j].values[:, box[0], box[1]] - level
+        _levels_on_box(history[j], box, psi)
+        psi -= level
         np.maximum(psi, 0.0, out=psi)
         grad_term[idx], grad_err[idx] = _box_dirichlet(psi * eta, box, grid, z, eps)
         boundary_energy[idx] = np.sum((eta[0] * psi[0]) ** 2) * h2

@@ -10,6 +10,8 @@ from scipy.fft import rfft2
 from sqgdiag.degiorgi import (
     ISOPERIMETRIC_CONSTANT,
     LOCAL_ENERGY_CONSTANT,
+    MC_CHUNK,
+    PREDICATES,
     WeightedRegion,
     _gradient_squared,
     _sample_plan,
@@ -100,6 +102,21 @@ class TestWeightedMeasure:
         with pytest.raises(ValueError, match="sample_count must be at least 2"):
             WeightedRegion(sample_count=1)
         assert WeightedRegion(sample_count=2).sample_points().shape == (3, 2)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_chunked_samples_equal_one_plan(self, eps):
+        # the samples are planned MC_CHUNK at a time; 3 chunks and a part
+        ext = isoperimetric_family(1, eps, 2025)[0]
+        mc = WeightedRegion(sample_count=3 * MC_CHUNK + 12_345, seed=19)
+        pts = mc.sample_points()
+        w = _trilinear(ext.values, _trilinear_plan(ext, *pts))
+        for predicate, member in PREDICATES.items():
+            samples = np.where(member(w), pts[2] ** eps, 0.0)
+            expected = (
+                np.pi * float(samples.mean()),
+                np.pi * float(samples.std(ddof=1)) / np.sqrt(samples.size),
+            )
+            assert weighted_measure(ext, predicate, eps, mc) == expected
 
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):
@@ -312,18 +329,23 @@ class TestSharedTrilinearPlan:
         assert res.measures["gradient"][0] == mc.volume() * float((g * zw).mean())
 
 
-def single_mode_extension_run(n=128, alpha=0.95, t_end=0.5, n_snap=11):
+def single_mode_history(n=128, alpha=0.95, t_end=0.5, n_snap=11):
+    """The single-mode run's snapshots, its z-levels and weight exponent."""
     L = 4 * np.pi
     g = Grid(n, L)
     x1, _ = g.coordinates()
     theta0 = ScalarField(g, np.sin(x1))
     cfg = SolverConfig(alpha=alpha, dt=5e-3, t_end=t_end)
     res = run(theta0, cfg, snapshot_times=np.linspace(0, t_end, n_snap))
-    eps = cfg.epsilon
     z = np.unique(np.concatenate([trace_ladder(g), np.linspace(0, 2.0, 41)]))
-    exts = [extend(f, z, eps) for f in res.history]
-    vels = [riesz_velocity(f) for f in res.history]
-    cutoff = extension_cutoff(g, z)
+    return res.history, z, cfg.epsilon
+
+
+def single_mode_extension_run(n=128, alpha=0.95, t_end=0.5, n_snap=11):
+    history, z, eps = single_mode_history(n, alpha, t_end, n_snap)
+    exts = [extend(f, z, eps) for f in history]
+    vels = [riesz_velocity(f) for f in history]
+    cutoff = extension_cutoff(history[0].grid, z)
     return exts, vels, cutoff
 
 
@@ -487,6 +509,34 @@ class TestLocalEnergy:
         finally:
             tracemalloc.stop()
         assert peak < exts[0].values.nbytes
+
+    def test_held_extensions_below_one_level_stack(self):
+        # extend keeps the trace's half spectrum, not the (n_z, n, n) stack
+        history, z, eps = single_mode_history(n=128)
+        extend(history[0], z, eps)  # the shared profile table, cached before tracing
+        tracemalloc.start()
+        try:
+            exts = [extend(f, z, eps) for f in history]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(exts) == 11 and len(z) == 45
+        assert held < len(z) * 128 * 128 * 8
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_stacked_levels_give_the_same_terms(self, single_mode_runs, n):
+        # the same levels wrapped as array-backed fields: identical arithmetic
+        exts, vels, cutoff = single_mode_runs[n]
+        stacked = [
+            ExtensionField(e.base_grid, e.z_levels, e.values, e.weight_exponent, e.time_stamp)
+            for e in exts
+        ]
+        results = [
+            local_energy_check(fields, vels, cutoff, 0.0, 0.0, 0.5, LOCAL_ENERGY_CONSTANT)
+            for fields in (exts, stacked)
+        ]
+        lazy, eager = [repr((r.lhs_terms, r.rhs_terms, r.budget, r.margin)) for r in results]
+        assert lazy == eager
 
     @pytest.mark.parametrize(
         "relabel",

@@ -11,7 +11,7 @@ from scipy.fft import irfft2, rfft2
 
 import full_spectrum as fs
 from oracles import dtn_constant_analytic, extension_profile_ode
-from sqgdiag.degiorgi import extension_cutoff
+from sqgdiag.degiorgi import LOCAL_ENERGY_CONSTANT, extension_cutoff, local_energy_check
 from sqgdiag.extension import (
     EXP_UNDERFLOW,
     ExtensionField,
@@ -35,6 +35,7 @@ from sqgdiag.spectral import (
     l2_norm,
     half_spectrum,
     random_band_limited,
+    riesz_velocity,
     sobolev_norm,
 )
 
@@ -42,6 +43,18 @@ from sqgdiag.spectral import (
 @pytest.fixture
 def grid():
     return Grid(64)
+
+
+@pytest.fixture
+def amplified_table(monkeypatch):
+    """extend's profile table with its last level raised to 1.5."""
+
+    def amplified(*key):
+        table = _profile_table(*key).copy()
+        table[-1] = 1.5
+        return table
+
+    monkeypatch.setattr("sqgdiag.extension._profile_table", amplified)
 
 
 def extension_oracle(theta, z_levels, eps):
@@ -226,18 +239,24 @@ class TestExtend:
         ext = extend(theta, z, eps)
         assert ext.max_principle_defect() <= 1e-10
 
-    def test_maximum_principle_violation_raises(self, grid, monkeypatch):
+    def test_maximum_principle_violation_raises(self, grid, amplified_table):
         # negative control: a profile table above 1 at one level lifts that
-        # level past sup|theta|, and extend must refuse the result
-        def amplified(*key):
-            table = _profile_table(*key).copy()
-            table[-1] = 1.5
-            return table
-
-        monkeypatch.setattr("sqgdiag.extension._profile_table", amplified)
+        # level past sup|theta|, and the field must refuse to build it
         theta = random_band_limited(grid, 4, [35, 0, 0])
+        ext = extend(theta, np.linspace(0.0, 1.0, 5), 0.1)
         with pytest.raises(AssertionError, match="maximum principle violated"):
-            extend(theta, np.linspace(0.0, 1.0, 5), 0.1)
+            ext.values
+
+    def test_maximum_principle_violation_raises_in_local_energy_check(self, grid, amplified_table):
+        # the same control through a reader that builds one level at a time
+        z = np.linspace(0.0, 1.0, 5)
+        theta = random_band_limited(grid, 4, [35, 0, 0])
+        history = [ScalarField(grid, theta.values, t) for t in (0.0, 0.1)]
+        exts = [extend(f, z, 0.1) for f in history]
+        vels = [riesz_velocity(f) for f in history]
+        cutoff = extension_cutoff(grid, z)
+        with pytest.raises(AssertionError, match="maximum principle violated"):
+            local_energy_check(exts, vels, cutoff, 0.0, 0.0, 0.1, LOCAL_ENERGY_CONSTANT)
 
     def test_epsilon_range(self, grid):
         theta = random_band_limited(grid, 4, [33, 0, 0])
@@ -295,7 +314,10 @@ class TestExtend:
         theta = random_band_limited(g, 8, [39, 0, 0])
         spec = rfft2(theta.values)
         expected = [irfft2(spec * row[op.radius_index], s=g.shape) for row in table]
-        assert np.array_equal(extend(theta, z, 0.1).values, np.stack(expected))
+        ext = extend(theta, z, 0.1)
+        for j, row in enumerate(expected):
+            assert np.array_equal(ext.level(j), row)
+        assert np.array_equal(ext.values, np.stack(expected))
 
 
 class TestNeumannTrace:
