@@ -11,13 +11,16 @@ phi(s) = s^nu K_nu(s) / (2^(nu-1) Gamma(nu)) with nu = (1 - eps)/2
 (Caffarelli & Silvestre, Comm. PDE 32, 2007), so 0 < nu <= 1/2.  Gamma
 comes from ``math.gamma`` and K_nu from the package's own kernel
 ``_bessel_k``: at nu = 1/2 its closed form sqrt(pi / (2 s)) exp(-s), where
-phi_0(s) = exp(-s), and otherwise Temme's series below s = 2 and Steed's
-continued fraction CF2 from there on (both as in Numerical Recipes 6.7,
-``bessik``).  So importing the package loads no scipy.  The test suite
-holds the kernel to 2e-14 relative of ``mpmath.besselk`` at 40 digits and
-to ``scipy.special.kv``; phi's independent oracle, a stiff ODE integration
-started from the large-s asymptotics, lives in ``tests/oracles.py``, and
-the two must agree to 1e-8.
+phi_0(s) = exp(-s), and otherwise the trapezoid rule on the integral
+K_nu(s) = int_0^inf exp(-s cosh t) cosh(nu t) dt.  That integrand is
+analytic in the strip |Im t| < pi/2, so the rule converges exponentially in
+its step (Trefethen & Weideman, SIAM Rev. 56, 2014), and all its terms are
+positive, so the error stays near rounding from subnormal s up; the step
+rule and the form of the exponent are in ``_bessel_k``.  So importing the
+package loads no scipy.  The test suite holds the kernel to 2e-14 relative
+of ``mpmath.besselk`` at 40 digits and to ``scipy.special.kv``; phi's
+independent oracle, a stiff ODE integration started from the large-s
+asymptotics, lives in ``tests/oracles.py``, and the two must agree to 1e-8.
 
 The multiplier is radial, so ``extend`` evaluates the closed form once per
 distinct |k| of the rfft2 half spectrum (6801 values for the 33 024 modes
@@ -45,13 +48,6 @@ from .spectral import Grid, ScalarField, fractional_laplacian, half_spectrum, ir
 
 # exp(-s) is 0 in double precision from here on, and so are K_nu(s) and phi
 EXP_UNDERFLOW = 746.0
-# Taylor coefficients of 1/Gamma(1 + x) at x^1, x^3, ..., x^21 (mpmath, 50 digits)
-RGAMMA_ODD = (
-    0.5772156649015329, -0.04200263503409524, -0.04219773455554433,
-    0.0072189432466631, -0.00021524167411495098, -2.013485478078824e-05,
-    1.133027231981696e-06, 6.116095104481416e-09, -1.18127457048702e-09,
-    7.782263439905071e-12, 5.100370287454476e-13,
-)
 
 
 def extension_profile(s, epsilon):
@@ -75,100 +71,41 @@ def _bessel_k(nu, x):
     """K_nu(x) for 0 < nu <= 1/2 on a 1-d array of finite x > 0.
 
     At nu = 1/2 the closed form sqrt(pi / (2 x)) exp(-x), so that
-    phi_0(s) = exp(-s) exactly.  Otherwise Temme's series below x = 2 and
-    Steed's CF2 from there on (both Numerical Recipes 6.7, ``bessik``), with
-    each range's constants computed once per call from nu.  Relative error
-    about 1e-14 at worst, just below x = 2, where Temme's first term cancels
-    against the rest.
+    phi_0(s) = exp(-s) exactly.  Otherwise the trapezoid rule with step h on
+
+        K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt,
+
+    whose integrand is analytic in the strip |Im t| < pi/2, so the rule
+    converges exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    With x cosh t = x + 2 (sqrt(x) sinh(t/2))^2 it reads
+
+        K_nu(x) = exp(-x) h (1/2 + sum_k exp(-2 (sqrt(x) sinh(k h / 2))^2) cosh(nu k h)),
+
+    an exponent that stays finite down to x = 5e-324, where the integrand's
+    cliff lies near t = 745 and sinh(t)^2 alone would overflow.  Every term
+    is positive, so nothing cancels.  The step h = min(0.2, 0.5 / sqrt(x))
+    follows the integrand's width, about 1 / sqrt(x) for large x; a coarser
+    step, min(0.25, 0.7 / sqrt(x)), is 5e-14 off at x in [1, 10].  The
+    integrand is unimodal in t, so up to its peak the k-th term is at least
+    1/k of the sum, and an element leaves the loop once its term falls below
+    a quarter ulp of its running sum, which happens only on the
+    double-exponential tail.
     """
     if nu == 0.5:
         # sqrt(pi / (2 x)) in two roots, which stay finite at subnormal x
         return math.sqrt(0.5 * math.pi) / np.sqrt(x) * np.exp(-x)
-    out = np.empty_like(x)
-    small = x < 2.0
-    out[small] = _k_temme(nu, x[small])
-    out[~small] = _k_steed(nu, x[~small])
-    return out
-
-
-def _k_temme(nu, x):
-    """K_nu by Temme's series, for x < 2.
-
-    Temme's gamma_1 = (1/Gamma(1 - nu) - 1/Gamma(1 + nu)) / (2 nu) comes
-    from its Taylor series, because the difference quotient cancels as
-    nu -> 0; every other gamma value is ``math.gamma``.
-    """
-    nu2 = nu * nu
-    gamma1 = 0.0
-    for b in reversed(RGAMMA_ODD):
-        gamma1 = gamma1 * nu2 + b
-    gamma1 = -gamma1
-    g_plus, g_minus = math.gamma(1.0 + nu), math.gamma(1.0 - nu)
-    gamma2 = 0.5 * (1.0 / g_minus + 1.0 / g_plus)
-    fact = math.pi * nu / math.sin(math.pi * nu)
-    e = nu * (math.log(2.0) - np.log(x))
-    # f_0 = fact (gamma1 cosh e + gamma2 ln(2/x) sinh(e) / e), and ln(2/x) / e = 1 / nu
-    f = fact * (gamma1 * np.cosh(e) + gamma2 * np.sinh(e) / nu)
-    p = np.exp(e)
-    q = (0.5 * g_minus) / p
-    p *= 0.5 * g_plus
-    y = 0.25 * x * x
-    c = np.ones_like(x)
-    total = f.copy()
-    i = 0
-    while True:
-        i += 1
-        f = (i * f + p + q) / (i * i - nu2)
-        c *= y / i
-        p /= i - nu
-        q /= i + nu
-        term = c * f
-        total += term
-        if np.all(np.abs(term) <= np.finfo(float).eps * np.abs(total)):
-            return total
-
-
-def _k_steed(nu, x):
-    """K_nu by Steed's evaluation of the continued fraction CF2, for x >= 2.
-
-    Converged elements drop out of the loop.
-    """
-    a1 = 0.25 - nu * nu
-    a, c = -a1, a1
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    delh = d.copy()
-    q1, q2 = np.zeros_like(x), np.ones_like(x)
-    q = np.full_like(x, a1)
-    s = 1.0 + q * delh
-    series = np.empty_like(x)
+    root = np.sqrt(x)
+    step = np.minimum(0.2, 0.5 / root)
+    total = np.full_like(x, 0.5)
     active = np.arange(x.size)
-    i = 1
+    k = 0
     while active.size:
-        i += 1
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh *= b * d - 1.0
-        step = q * delh
-        s += step
-        done = np.abs(step) <= np.finfo(float).eps * s
-        if done.any():
-            series[active[done]] = s[done]
-            # compacted one array at a time, so that one old copy is alive
-            keep = ~done
-            active = active[keep]
-            b = b[keep]
-            d = d[keep]
-            delh = delh[keep]
-            q1 = q1[keep]
-            q2 = q2[keep]
-            q = q[keep]
-            s = s[keep]
-    return np.sqrt(0.5 * np.pi / x) * np.exp(-x) / series
+        k += 1
+        t = k * step[active]
+        term = np.exp(-2.0 * (root[active] * np.sinh(0.5 * t)) ** 2) * np.cosh(nu * t)
+        total[active] += term
+        active = active[term >= 0.25 * np.spacing(total[active])]
+    return np.exp(-x) * step * total
 
 
 class ExtensionField:
@@ -213,11 +150,6 @@ class ExtensionField:
         if self._trace is None:
             return self._stack
         return _levels_on_box(self, (slice(None), slice(None)), np.empty(self.shape))
-
-    def max_principle_defect(self):
-        """max over z of sup|theta(., z)| minus sup|theta(., 0)|."""
-        sup_z = np.array([np.max(np.abs(self.level(j))) for j in range(self.shape[0])])
-        return float(np.max(sup_z) - sup_z[0])
 
 
 def _levels_on_box(ext, box, out):
