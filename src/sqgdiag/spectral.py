@@ -40,10 +40,6 @@ Conventions
   choice the physical-space kernel is ``c (y - x)_j / |y - x|^3`` with
   c = 1 / (2 pi); the sign and constant are pinned by a quadrature oracle in
   the test suite.
-* Full-spectrum ``numpy.fft`` is left only in ``random_band_limited``,
-  where the full spectrum is the point (Hermitian symmetrization of the
-  drawn coefficients, so every seeded field stays as drawn).
-  ``evaluate_on_lattice`` zooms on the half spectrum.
 """
 
 from dataclasses import dataclass
@@ -398,7 +394,7 @@ def random_band_limited(grid, k_max_index, seed, amplitude=1.0):
     )
     flipped = np.roll(np.flip(c, axis=(0, 1)), shift=(1, 1), axis=(0, 1))
     c = 0.5 * (c + np.conj(flipped))
-    values = np.fft.ifft2(c).real
+    values = irfft2(c[:, : grid.n // 2 + 1])  # c is Hermitian: its half spectrum is the field
     peak = np.max(np.abs(values))
     if peak > 0:
         values *= amplitude / peak

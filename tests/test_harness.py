@@ -529,9 +529,9 @@ class TestCli:
         assert "dtn_eps_0.0,1" in captured.out
 
 
-def test_no_full_spectrum_transforms_outside_random_band_limited(tmp_path, monkeypatch):
-    # every multiplier and norm runs on the half spectrum; full-spectrum
-    # fft2/ifft2 may only come from the random initial data
+def test_no_full_spectrum_transforms(tmp_path, monkeypatch):
+    # every multiplier, norm and the random initial data run on the half
+    # spectrum; no path calls a full-spectrum fft2/ifft2
     calls = []
 
     def counting(name, original):
@@ -548,7 +548,7 @@ def test_no_full_spectrum_transforms_outside_random_band_limited(tmp_path, monke
         ic_k_max=6, snapshot_interval=0.1, output_dir=str(tmp_path / "guard"),
     )
     paths, _ = simulate(cfg)
-    assert calls == [("ifft2", "random_band_limited")]
+    assert calls == []
     report = diagnose(paths, DIAGNOSTIC_NAMES, config=cfg)
     assert [s["name"] for s in report.sections] == list(DIAGNOSTIC_NAMES)
     ext = extension_report(epsilons=(0.0, 0.1), n=32)
@@ -557,4 +557,6 @@ def test_no_full_spectrum_transforms_outside_random_band_limited(tmp_path, monke
     g = theta.grid
     zoom = evaluate_on_lattice(theta, g.center, (g.spacing / 16, g.spacing / 16), g.shape)
     assert zoom.shape == g.shape
-    assert calls == [("ifft2", "random_band_limited")] * 3
+    assert calls == []
+    np.fft.fft2(np.zeros((2, 2)))  # control: a call through numpy.fft is counted
+    assert calls == [("fft2", "test_no_full_spectrum_transforms")]
