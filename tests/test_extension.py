@@ -128,9 +128,8 @@ def bessel_k(nu, x):
         return _bessel_k(nu, np.asarray(x, dtype=float))
 
 
-# arguments on both sides of 2, 20 and 30, which bounded the ranges of an
-# earlier series and continued-fraction kernel, and of 6.25, where the
-# trapezoid step min(0.2, 0.5 / sqrt(x)) turns from its cap to 0.5 / sqrt(x)
+# arguments on both sides of 6.25, where the trapezoid step
+# min(0.2, 0.5 / sqrt(x)) leaves its cap, and of 2, 20 and 30 across the range
 BOUNDARIES = [
     v
     for b in (2.0, 6.25, 20.0, 30.0)
@@ -226,12 +225,12 @@ class TestBesselKernel:
         # the degiorgi_extension benchmark's N=256 table: 45 levels at eps = 0.05
         # (2.4 MiB of results); the kernel's working set rides on top of it
         grid = Grid(256, 4.0 * np.pi)
-        z = tuple(np.unique(np.concatenate([trace_ladder(grid), np.linspace(0, 2.0, 41)])))
+        z = np.unique(np.concatenate([trace_ladder(grid), np.linspace(0, 2.0, 41)]))
         half_spectrum(grid)  # the grid's operator, cached before tracing
         _profile_table.cache_clear()
         tracemalloc.start()
         try:
-            _profile_table(grid, z, 0.05)
+            _profile_table(grid, tuple(z.tolist()), 0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
