@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -190,7 +191,7 @@ class TestOperatorPath:
     )
     def test_phi_tables_match_per_mode_contour(self, n, side, alpha, dt):
         # the tables are built on the distinct radii and scattered; the
-        # oracle runs the contour quadrature on every mode
+        # oracle runs the same series and closed forms on every mode
         g = Grid(n, side)
         mag = half_spectrum(g).magnitude
         linear = np.zeros_like(mag)
@@ -207,6 +208,46 @@ class TestOperatorPath:
             assert table.dtype == np.float64 and table.shape == mag.shape
             rel = np.abs(table - expected[name]) / np.abs(expected[name])
             assert np.max(rel) <= 1e-14, name
+
+    # the six tables' closed forms in z = rate * dt, per unit dt
+    EXACT_PHI = {
+        "phi1_half": lambda z: mpmath.expm1(z / 2) / z,
+        "f1": lambda z: (-4 - z + mpmath.exp(z) * (4 - 3 * z + z * z)) / z**3,
+        "f2": lambda z: (2 + z + mpmath.exp(z) * (z - 2)) / z**3,
+        "f3": lambda z: (-4 - 3 * z - z * z + mpmath.exp(z) * (4 - z)) / z**3,
+        "phi1": lambda z: mpmath.expm1(z) / z,
+        "phi2": lambda z: (mpmath.expm1(z) - z) / z**2,
+    }
+    # their limits at z = 0
+    PHI_AT_ZERO = {"phi1_half": 0.5, "f1": 1 / 6, "f2": 1 / 6, "f3": 1 / 6, "phi1": 1.0, "phi2": 0.5}
+
+    @pytest.mark.parametrize("dt", [1.0, 3e-3])
+    def test_phi_tables_match_mpmath(self, dt):
+        # Bound: relative error <= 1e-14 of dt times the exact value, except
+        # within 0.05 of f1's root z = -2.688, where f1 crosses zero and the
+        # bound is an absolute error <= 1e-16 per unit dt.  The points: z = 0,
+        # a geometric sweep over -[1e-14, 100] (the solver's z are <= 0), the
+        # series/closed-form seam |z| = 2 with its neighbours on both sides,
+        # z = -1.01 and a few points next to f1's root.
+        with mpmath.workdps(120):
+            root = float(mpmath.findroot(self.EXACT_PHI["f1"], -2.688))
+            seam = [s * np.nextafter(2.0, t) for s in (1.0, -1.0) for t in (0.0, 4.0)]
+            z = np.concatenate((
+                [0.0, -1.01, 2.0, -2.0], seam, -np.geomspace(1e-14, 100.0, 400),
+                root + np.linspace(-0.04, 0.04, 9),
+            ))
+            worst = (0.0, None, None)
+            for name, table in _phi_coefficients(z, dt).items():
+                for zi, got in zip(z, table):
+                    mz = mpmath.mpf(zi)
+                    exact = self.EXACT_PHI[name](mz) if zi else mpmath.mpf(self.PHI_AT_ZERO[name])
+                    err = abs(mpmath.mpf(got) - dt * exact)
+                    if name == "f1" and abs(zi - root) < 0.05:
+                        ratio = err / (1e-16 * dt)
+                    else:
+                        ratio = err / (1e-14 * abs(dt * exact))
+                    worst = max(worst, (float(ratio), name, zi), key=lambda w: w[0])
+        assert worst[0] <= 1.0, worst
 
     def test_nonlinear_matches_unfused_formula(self):
         # four separate inverse transforms with symbols built from the
@@ -313,7 +354,7 @@ class TestWorkspace:
     @staticmethod
     def work_arrays(solver):
         return [solver._scratch, solver._u, solver._v, solver._tx, solver._ty,
-                *solver._stage.values()]
+                *solver._stage.values(), *solver._tables.values()]
 
     def test_warm_steps_allocate_only_the_new_state(self):
         g = Grid(256)
@@ -392,17 +433,43 @@ class TestPhiCache:
             assert np.array_equal(a.values, b.values)
 
     def test_rebuilt_table_equals_its_first_build(self, grid):
+        # the cache holds per-radius tables; _coefficients returns the
+        # solver's per-mode work set, refilled when the step size changes
         solver = SqgSolver(grid, SolverConfig(alpha=0.95, dt=0.1, t_end=1.0))
-        first = solver._coefficients(1e-3)
+        first = {k: v.copy() for k, v in solver._coefficients(1e-3).items()}
+        first_entry = solver._coeff_cache[1e-3]
         for k in range(solver_mod.PHI_CACHE_SIZE):
             solver._coefficients(2e-3 + k * 1e-4)
         assert 1e-3 not in solver._coeff_cache
         again = solver._coefficients(1e-3)
-        assert again is not first
+        again_entry = solver._coeff_cache[1e-3]
+        assert again_entry is not first_entry
         assert solver.phi_builds == solver_mod.PHI_CACHE_SIZE + 2
-        assert sorted(again) == sorted(first)
+        assert sorted(again_entry) == sorted(first_entry) == sorted(again) == sorted(first)
+        for name, table in first_entry.items():
+            assert np.array_equal(again_entry[name], table), name
         for name, table in first.items():
             assert np.array_equal(again[name], table), name
+        # a cache hit on another step size refills the work set too
+        solver._coefficients(2e-3 + 7e-4)
+        hit = solver._coefficients(1e-3)
+        assert solver.phi_builds == solver_mod.PHI_CACHE_SIZE + 2
+        for name, table in first.items():
+            assert np.array_equal(hit[name], table), name
+
+    def test_held_tables_are_per_radius(self):
+        # PHI_CACHE_SIZE sets of 8 tables on the 6801 distinct radii of a
+        # 256^2 grid are 3.3 MiB; on all 33 024 modes they were 16.1 MiB
+        solver = SqgSolver(Grid(256), SolverConfig(alpha=0.95, dt=0.1, t_end=1.0))
+        tracemalloc.start()
+        try:
+            for k in range(solver_mod.PHI_CACHE_SIZE + 2):
+                solver._coefficients(1e-3 * (k + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(solver._coeff_cache) == solver_mod.PHI_CACHE_SIZE
+        assert peak < 6 * 2**20
 
     def test_use_refreshes_a_table(self, grid):
         solver = SqgSolver(grid, SolverConfig(alpha=0.95, dt=0.1, t_end=1.0))
