@@ -94,18 +94,26 @@ def _bessel_k(nu, x):
     if nu == 0.5:
         # sqrt(pi / (2 x)) in two roots, which stay finite at subnormal x
         return math.sqrt(0.5 * math.pi) / np.sqrt(x) * np.exp(-x)
-    root = np.sqrt(x)
-    step = np.minimum(0.2, 0.5 / root)
-    total = np.full_like(x, 0.5)
-    active = np.arange(x.size)
+    # the live elements' indices, roots, steps and sums, compacted one at a
+    # time once some element finishes; a finished sum is scattered once
+    r = np.sqrt(x)
+    h = np.minimum(0.2, 0.5 / r)
+    active, s, total = np.arange(x.size), np.full_like(x, 0.5), np.empty_like(x)
     k = 0
     while active.size:
         k += 1
-        t = k * step[active]
-        term = np.exp(-2.0 * (root[active] * np.sinh(0.5 * t)) ** 2) * np.cosh(nu * t)
-        total[active] += term
-        active = active[term >= 0.25 * np.spacing(total[active])]
-    return np.exp(-x) * step * total
+        t = k * h
+        term = np.exp(-2.0 * (r * np.sinh(0.5 * t)) ** 2) * np.cosh(nu * t)
+        s += term
+        live = term >= 0.25 * np.spacing(s)
+        if not live.all():
+            total[active[~live]] = s[~live]
+            active = active[live]
+            r = r[live]
+            h = h[live]
+            s = s[live]
+    # the step again, not a full-size copy held through the loop
+    return np.exp(-x) * np.minimum(0.2, 0.5 / np.sqrt(x)) * total
 
 
 class ExtensionField:
