@@ -239,8 +239,8 @@ class TestOperatorPath:
             worst = (0.0, None, None)
             for name, table in _phi_coefficients(z, dt).items():
                 for zi, got in zip(z, table):
-                    mz = mpmath.mpf(zi)
-                    exact = self.EXACT_PHI[name](mz) if zi else mpmath.mpf(self.PHI_AT_ZERO[name])
+                    exact = (self.EXACT_PHI[name](mpmath.mpf(zi)) if zi
+                             else mpmath.mpf(self.PHI_AT_ZERO[name]))
                     err = abs(mpmath.mpf(got) - dt * exact)
                     if name == "f1" and abs(zi - root) < 0.05:
                         ratio = err / (1e-16 * dt)
@@ -459,7 +459,7 @@ class TestPhiCache:
 
     def test_held_tables_are_per_radius(self):
         # PHI_CACHE_SIZE sets of 8 tables on the 6801 distinct radii of a
-        # 256^2 grid are 3.3 MiB; on all 33 024 modes they were 16.1 MiB
+        # 256^2 grid are 3.3 MiB; on all 33 024 modes they would be 16.1 MiB
         solver = SqgSolver(Grid(256), SolverConfig(alpha=0.95, dt=0.1, t_end=1.0))
         tracemalloc.start()
         try:
