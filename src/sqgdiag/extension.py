@@ -94,8 +94,8 @@ def _bessel_k(nu, x):
     if nu == 0.5:
         # sqrt(pi / (2 x)) in two roots, which stay finite at subnormal x
         return math.sqrt(0.5 * math.pi) / np.sqrt(x) * np.exp(-x)
-    # the live elements' indices, roots, steps and sums, compacted one at a
-    # time once some element finishes; a finished sum is scattered once
+    # the live elements' indices, roots, steps and sums, compacted whenever
+    # some element finishes; a finished sum is scattered once
     r = np.sqrt(x)
     h = np.minimum(0.2, 0.5 / r)
     active, s, total = np.arange(x.size), np.full_like(x, 0.5), np.empty_like(x)
@@ -108,10 +108,7 @@ def _bessel_k(nu, x):
         live = term >= 0.25 * np.spacing(s)
         if not live.all():
             total[active[~live]] = s[~live]
-            active = active[live]
-            r = r[live]
-            h = h[live]
-            s = s[live]
+            active, r, h, s = active[live], r[live], h[live], s[live]
     # the step again, not a full-size copy held through the loop
     return np.exp(-x) * np.minimum(0.2, 0.5 / np.sqrt(x)) * total
 
