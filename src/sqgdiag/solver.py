@@ -198,7 +198,7 @@ class SqgSolver:
             z = self.rate * dt
             cache[key] = tables = _phi_coefficients(z, dt)
             tables["exp_full"] = np.exp(z)
-            tables["exp_half"] = np.exp(self.rate * dt / 2.0)
+            tables["exp_half"] = np.exp(z / 2.0)
             if len(cache) > PHI_CACHE_SIZE:
                 cache.popitem(last=False)
             self.phi_builds += 1
