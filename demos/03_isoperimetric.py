@@ -30,7 +30,7 @@ for name, predicate, exact in [
     est, se = weighted_measure(ext, predicate, 0.0, mc)
     print(f"  {name} mc = {est:.5f}  exact = {exact:.5f}  ({abs(est-exact)/se:.1f} se)")
 
-res = isoperimetric_check([ext], 0.0, ISOPERIMETRIC_CONSTANT, mc)[0]
+res = isoperimetric_check([ext], ISOPERIMETRIC_CONSTANT, mc)[0]
 print(f"\nisoperimetric bound with frozen C = {ISOPERIMETRIC_CONSTANT}:")
 print(f"  lhs = {res.lhs:.4f} vs C * strip^(1/2) * energy^(1/2) = {res.rhs:.4f}"
       f"  -> {'PASS' if res.passed else 'FAIL'}")
@@ -38,6 +38,6 @@ print(f"  lhs = {res.lhs:.4f} vs C * strip^(1/2) * energy^(1/2) = {res.rhs:.4f}"
 print("\nrandom family (first five members, eps = 0.1):")
 mcf = WeightedRegion(sample_count=200_000, seed=11)
 family = isoperimetric_family(5, 0.1, seed=2025)
-for i, r in enumerate(isoperimetric_check(family, 0.1, ISOPERIMETRIC_CONSTANT, mcf)):
+for i, r in enumerate(isoperimetric_check(family, ISOPERIMETRIC_CONSTANT, mcf)):
     print(f"  member {i}: lhs = {r.lhs:.5f}, rhs = {r.rhs:.5f} "
           f"-> {'PASS' if r.passed else 'FAIL'}")

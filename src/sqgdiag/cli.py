@@ -4,18 +4,18 @@ Subcommands: simulate, diagnose, constants, extension-check, isoperimetric.
 The level-set energy audit is ``diagnose --checks energy_audit``.  Every
 subcommand but constants takes --out <dir> and --format json|csv; simulate,
 extension-check and isoperimetric also take --seed <u64>, and simulate
-takes --config <path>.  The environment variable SQG_NO_COLOR disables ANSI
-colors in the per-check pass/fail lines.  Exit status is 1 iff an
-enabled check fails, and 2 for unusable input (a bad config, checkpoint,
-path or argument value), reported as one ``error:`` line on stderr.
+takes --config <path>.  The options of extension-check, isoperimetric and
+``diagnose --side-length`` are passed to the harness only when given.  The
+environment variable SQG_NO_COLOR disables ANSI colors in the per-check
+pass/fail lines.  Exit status is 1 iff an enabled check fails, and 2 for
+unusable input (a bad config, checkpoint, path or argument value), reported
+as one ``error:`` line on stderr.
 """
 
 import argparse
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .constants import build_ledger
 from .harness import (
@@ -59,7 +59,7 @@ def _emit_report(report, out_dir, fmt):
 def _add_output(p, seed=False):
     """--out and --format, and --seed where the subcommand reads one."""
     if seed:
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override the seed")
     p.add_argument("--out", help="output directory")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -77,7 +77,7 @@ def build_parser():
     p.add_argument("checkpoints", nargs="*", help="checkpoint files")
     p.add_argument("--checks", default="l2_monotone,energy_audit",
                    help="comma-separated diagnostic toggles (may be empty)")
-    p.add_argument("--side-length", type=float, default=2.0 * np.pi)
+    p.add_argument("--side-length", type=float, default=argparse.SUPPRESS)
 
     p = sub.add_parser("constants", help="emit the constants ledger as JSON")
     p.add_argument("--L", type=float, required=True)
@@ -88,14 +88,19 @@ def build_parser():
 
     p = sub.add_parser("extension-check", help="verify the weighted Neumann trace")
     _add_output(p, seed=True)
-    p.add_argument("--epsilons", default="0.0,0.05,0.1")
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--epsilons", default=argparse.SUPPRESS, help="comma-separated")
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("isoperimetric", help="weighted isoperimetric family sweep")
     _add_output(p, seed=True)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--count", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     return parser
+
+
+def _given(args, *names):
+    """The named options the user gave, as keyword arguments."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def main(argv=None):
@@ -112,7 +117,7 @@ def _run(args):
         if not args.config:
             raise ValueError("simulate requires --config")
         config = load_config(args.config)
-        if args.seed is not None:
+        if "seed" in args:
             config = replace(config, seed=args.seed)
         if args.out:
             config = replace(config, output_dir=args.out)
@@ -128,7 +133,7 @@ def _run(args):
 
     if args.command == "diagnose":
         toggles = [t for t in args.checks.split(",") if t]
-        report = diagnose(args.checkpoints, toggles, side_length=args.side_length)
+        report = diagnose(args.checkpoints, toggles, **_given(args, "side_length"))
         return _emit_report(report, args.out, args.format)
 
     if args.command == "constants":
@@ -137,14 +142,14 @@ def _run(args):
         return 0 if ledger.all_feasible() else 1
 
     if args.command == "extension-check":
-        epsilons = tuple(float(v) for v in args.epsilons.split(","))
-        seed = args.seed if args.seed is not None else 0
-        report = extension_report(epsilons=epsilons, n=args.n, seed=seed)
+        given = _given(args, "epsilons", "n", "seed")
+        if "epsilons" in given:
+            given["epsilons"] = tuple(float(v) for v in given["epsilons"].split(","))
+        report = extension_report(**given)
         return _emit_report(report, args.out, args.format)
 
     if args.command == "isoperimetric":
-        seed = args.seed if args.seed is not None else 2025
-        report = isoperimetric_report(count=args.count, samples=args.samples, seed=seed)
+        report = isoperimetric_report(**_given(args, "count", "samples", "seed"))
         return _emit_report(report, args.out, args.format)
 
     raise AssertionError("unreachable")

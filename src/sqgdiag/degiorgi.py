@@ -55,8 +55,8 @@ class WeightedRegion:
     """Monte Carlo sampling plan for B_1^* at the domain centre.
 
     The samples are uniform in the unit half-cylinder, relative to its
-    centre; the weight z^eps is applied by the measures, which take eps as
-    an argument.
+    centre; the weight z^eps is applied by the measures, which read eps as
+    the field's ``weight_exponent``.
     """
 
     sample_count: int = 200_000
@@ -163,11 +163,14 @@ def weighted_measure(ext, predicate, eps, mc):
     """Monte Carlo estimate of int_{set} z^eps dX over B_1^*.
 
     Returns (estimate, standard_error); deterministic for a fixed seed.
-    The trilinear plan is built and applied MC_CHUNK samples at a time;
-    the sampling is pointwise, so the samples equal those of one plan.
+    eps must be ext.weight_exponent.  The trilinear plan is built and
+    applied MC_CHUNK samples at a time; the sampling is pointwise, so the
+    samples equal those of one plan.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
+    if eps != ext.weight_exponent:
+        raise ValueError(f"eps {eps!r} is not ext.weight_exponent {ext.weight_exponent!r}")
     values = ext.values
     pts = mc.sample_points()
     samples = []
@@ -204,14 +207,16 @@ class IsoperimetricResult:
     passed: bool  # margin >= 0
 
 
-def isoperimetric_check(fields, eps, constant_C, mc):
+def isoperimetric_check(fields, constant_C, mc):
     """Evaluate both sides of the weighted isoperimetric bound for each field.
 
-    Returns one ``IsoperimetricResult`` per field, in order.  Each field is
-    clamped to [0, 1] before the gradient is taken.  All four integrals of
-    every member share one sample set (common random numbers), which makes
-    the w -> 1 - w swap invariance exact up to rounding; the trilinear plan
-    is built once per distinct lattice and dropped when the call returns.
+    Returns one ``IsoperimetricResult`` per field, in order, weighted by
+    z^ext.weight_exponent.  Each field is clamped to [0, 1] before the
+    gradient is taken.  All four integrals of every member share one sample
+    set (common random numbers), which makes the w -> 1 - w swap invariance
+    exact up to rounding; the trilinear plan is built once per distinct
+    lattice, the sample weights once per exponent, and both are dropped
+    when the call returns.
     Pass criterion: margin = rhs + 3 combined standard errors - lhs >= 0,
     where rhs carries the constant C.
     """
@@ -219,13 +224,13 @@ def isoperimetric_check(fields, eps, constant_C, mc):
     if not fields:
         raise ValueError("isoperimetric_check needs at least one field")
     pts = mc.sample_points()
-    zw = pts[2] ** eps
-    plans = {}
-    results = []
+    weights = {eps: pts[2] ** eps for eps in {ext.weight_exponent for ext in fields}}
+    plans, results = {}, []
     for ext in fields:
         lattice = (ext.base_grid, tuple(ext.z_levels.tolist()))
         if lattice not in plans:
             plans[lattice] = _trilinear_plan(ext, *pts)
+        zw = weights[ext.weight_exponent]
         results.append(_isoperimetric_member(ext, plans[lattice], zw, constant_C, mc))
     return results
 

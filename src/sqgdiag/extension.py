@@ -219,32 +219,27 @@ def trace_ladder(grid):
 def neumann_trace(ext):
     """Estimate lim_{z->0} z^eps d_z theta by Richardson extrapolation.
 
-    Uses the four smallest positive z-levels, which must lie in
-    (0, 0.1/k_max] and form a geometric ladder.  The difference quotient
-    D(z) = (1-eps) (theta(., z) - theta(., 0)) / z^(1-eps) has error
-    expansion with exponents (1+eps, 2, 3+eps), each eliminated in turn.
-    Returns a field proportional to Lambda^(1-eps) theta; the constant is
-    d_eps (see calibrate_dtn_constant).
+    Reads the four positive levels of ``trace_ladder(ext.base_grid)``, which
+    ext.z_levels must hold exactly; other levels may lie among them.  The
+    difference quotient D(z) = (1-eps) (theta(., z) - theta(., 0)) / z^(1-eps)
+    has error expansion with exponents (1+eps, 2, 3+eps), each eliminated in
+    turn.  Returns a field proportional to Lambda^(1-eps) theta; the
+    constant is d_eps (see calibrate_dtn_constant).
     """
     eps = ext.weight_exponent
-    top = 0.1 / grid_k_max(ext.base_grid)
-    pos = ext.z_levels[(ext.z_levels > 0) & (ext.z_levels <= top * (1 + 1e-9))]
-    if len(pos) < 4:
+    ladder = trace_ladder(ext.base_grid)[1:]
+    idx = np.minimum(np.searchsorted(ext.z_levels, ladder), len(ext.z_levels) - 1)
+    missing = ladder[ext.z_levels[idx] != ladder]
+    if missing.size:
         raise ValueError(
-            f"insufficient small-z resolution: need 4 levels in (0, {top:.3e}], "
-            f"found {len(pos)}"
+            f"insufficient small-z resolution: trace_ladder levels {missing.tolist()} missing"
         )
-    ladder = pos[:4]
-    ratios = ladder[1:] / ladder[:-1]
-    if np.max(np.abs(ratios - ratios[0])) > 1e-6 * ratios[0]:
-        raise ValueError("trace levels must form a geometric ladder")
-    r = float(ratios[0])
+    r = float(ladder[1] / ladder[0])  # exactly 2: the levels are top over powers of 2
 
-    idx = [int(np.where(ext.z_levels == z)[0][0]) for z in ladder]
     boundary = ext.level(0)
     estimates = [
         (1.0 - eps) * (ext.level(i) - boundary) / z ** (1.0 - eps)
-        for i, z in zip(idx, ladder)
+        for i, z in zip(idx.tolist(), ladder)
     ]
     for p in (1.0 + eps, 2.0, 3.0 + eps):
         rp = r**p

@@ -87,15 +87,6 @@ class RunConfig:
                 f"ic_amplitude must be finite and nonzero, got {self.ic_amplitude!r}"
             )
 
-    def to_text(self):
-        lines = ["# sqgdiag run configuration"]
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
 
 def parse_config(text):
     """Parse the flat key = value format back into a RunConfig.
@@ -351,7 +342,7 @@ def isoperimetric_report(count=20, seed=2025, samples=100_000):
     for eps in (0.0, 0.1):
         mc = WeightedRegion(sample_count=samples, seed=seed)
         fields = [linear_reference_profile(eps)] + isoperimetric_family(count, eps, seed)
-        results = isoperimetric_check(fields, eps, ISOPERIMETRIC_CONSTANT, mc)
+        results = isoperimetric_check(fields, ISOPERIMETRIC_CONSTANT, mc)
         sections.append(
             {
                 "name": f"isoperimetric_eps_{eps}",

@@ -78,9 +78,11 @@ L2_MONOTONE_SLACK = 1e-8  # allowed relative growth of the L2 norm between snaps
 LINF_FIT_START = 0.1  # first time of the L-infinity decay fit
 # Phi-table sets a solver keeps, the least recently used evicted first.  A
 # set is 8 tables on the distinct radii (0.4 MiB at 256^2; the per-mode set
-# the solver steps with is 2.1 MiB, held once).  A snapshot schedule uses
-# each sub-step size over one stretch of time (14 sizes on 20 uniform gaps,
-# 22 on the nested iteration schedule), so none returns to an evicted size.
+# the solver steps with is 2.1 MiB, held once).  Sizes recur: t accumulates
+# rounding, so equal gaps give sub-steps that differ in their last bits.  20
+# uniform gaps use sizes 0..9, 8, 10..13 (14 builds, 1 recurrence), the
+# iteration schedule 22 builds and 24 recurrences, two runs over 10 gaps 16
+# and 4; a one-slot cache would build 15, 46 and 20 sets.
 PHI_CACHE_SIZE = 8
 
 

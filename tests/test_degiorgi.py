@@ -122,10 +122,15 @@ class TestWeightedMeasure:
         with pytest.raises(ValueError):
             weighted_measure(constant_half_field(), "nope", 0.0, WeightedRegion())
 
+    def test_weight_must_be_the_fields_own(self):
+        ext = linear_reference_profile(0.1)
+        with pytest.raises(ValueError, match=r"eps 0\.0 is not ext\.weight_exponent 0\.1"):
+            weighted_measure(ext, "le_zero", 0.0, WeightedRegion(sample_count=1000))
+
 
 class TestIsoperimetric:
     def test_constant_passes_any_constant(self):
-        (res,) = isoperimetric_check([constant_half_field()], 0.0, 0.0, WeightedRegion(seed=2))
+        (res,) = isoperimetric_check([constant_half_field()], 0.0, WeightedRegion(seed=2))
         assert res.lhs == 0.0
         assert res.passed
 
@@ -133,7 +138,7 @@ class TestIsoperimetric:
         # all four integrals have closed forms; Monte Carlo within 3 sigma
         ext = linear_reference_profile(0.0)
         mc = WeightedRegion(sample_count=10**6, seed=13)
-        (res,) = isoperimetric_check([ext], 0.0, ISOPERIMETRIC_CONSTANT, mc)
+        (res,) = isoperimetric_check([ext], ISOPERIMETRIC_CONSTANT, mc)
         strip = np.pi / 2 - SEGMENT_AREA
         m_low, se_low = res.measures["low"]
         m_high, se_high = res.measures["high"]
@@ -153,7 +158,7 @@ class TestIsoperimetric:
             ext.base_grid, ext.z_levels, 1.0 - ext.values, ext.weight_exponent
         )
         mc = WeightedRegion(sample_count=200_000, seed=17)
-        a, b = isoperimetric_check([ext, flipped], 0.1, 1.0, mc)
+        a, b = isoperimetric_check([ext, flipped], 1.0, mc)
         tol = 3 * np.hypot(a.lhs_std_error, b.lhs_std_error)
         assert abs(a.lhs - b.lhs) <= max(tol, 1e-12)
         assert abs(a.rhs - b.rhs) <= max(3 * np.hypot(a.rhs_std_error, b.rhs_std_error), 1e-12)
@@ -162,7 +167,7 @@ class TestIsoperimetric:
     def test_family_subset_with_frozen_constant(self, eps):
         mc = WeightedRegion(sample_count=100_000, seed=19)
         fields = [linear_reference_profile(eps)] + isoperimetric_family(10, eps, 2025)
-        results = isoperimetric_check(fields, eps, ISOPERIMETRIC_CONSTANT, mc)
+        results = isoperimetric_check(fields, ISOPERIMETRIC_CONSTANT, mc)
         assert len(results) == len(fields)
         assert all(res.passed for res in results)
 
@@ -170,7 +175,7 @@ class TestIsoperimetric:
         # the binding family member is the linear profile; the frozen
         # constant must exceed what it requires
         mc = WeightedRegion(sample_count=200_000, seed=23)
-        (res,) = isoperimetric_check([linear_reference_profile(0.0)], 0.0, 1.0, mc)
+        (res,) = isoperimetric_check([linear_reference_profile(0.0)], 1.0, mc)
         assert res.lhs / res.rhs < ISOPERIMETRIC_CONSTANT
 
     def test_margin_is_the_verdict(self):
@@ -178,9 +183,9 @@ class TestIsoperimetric:
         # half the binding profile's measured ratio lhs / rhs fails
         ext = linear_reference_profile(0.0)
         mc = WeightedRegion(sample_count=200_000, seed=23)
-        (unit,) = isoperimetric_check([ext], 0.0, 1.0, mc)
+        (unit,) = isoperimetric_check([ext], 1.0, mc)
         results = [
-            isoperimetric_check([ext], 0.0, constant, mc)[0]
+            isoperimetric_check([ext], constant, mc)[0]
             for constant in (ISOPERIMETRIC_CONSTANT, 0.5 * unit.lhs / unit.rhs)
         ]
         for res in results:
@@ -196,7 +201,7 @@ class TestIsoperimetric:
         # check are exactly weighted_measure's
         ext = isoperimetric_family(1, eps, 2025)[0]
         mc = WeightedRegion(sample_count=70_000, seed=29)
-        (res,) = isoperimetric_check([ext], eps, ISOPERIMETRIC_CONSTANT, mc)
+        (res,) = isoperimetric_check([ext], ISOPERIMETRIC_CONSTANT, mc)
         for name, predicate in (("low", "le_zero"), ("high", "ge_one"), ("strip", "between")):
             assert res.measures[name] == weighted_measure(ext, predicate, eps, mc)
         assert all(res.measures[name][0] > 0.0 for name in ("low", "high", "strip"))
@@ -214,7 +219,7 @@ def mixed_lattice_sweep():
     profile = linear_reference_profile(0.1)
     fields = (profile, *isoperimetric_family(2, 0.1, 2025), profile)
     return fields, [
-        isoperimetric_check([ext], 0.1, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)[0]
+        isoperimetric_check([ext], ISOPERIMETRIC_CONSTANT, SWEEP_REGION)[0]
         for ext in fields
     ]
 
@@ -236,9 +241,24 @@ class TestFamilySweep:
         fields, expected = mixed_lattice_sweep()
         builds = count_plan_builds(monkeypatch)
         got = isoperimetric_check(
-            [fields[i] for i in order], 0.1, ISOPERIMETRIC_CONSTANT, SWEEP_REGION
+            [fields[i] for i in order], ISOPERIMETRIC_CONSTANT, SWEEP_REGION
         )
         assert got == [expected[i] for i in order]
+        assert sorted(builds) == [64, 128]
+
+    def test_each_member_takes_its_own_weight(self, monkeypatch):
+        # one call over weights 0.0 and 0.1 on two lattices equals one call
+        # per weight, and still builds one plan per lattice
+        zero, tenth = (
+            [linear_reference_profile(eps), *isoperimetric_family(1, eps, 2025)]
+            for eps in (0.0, 0.1)
+        )
+        a = isoperimetric_check(zero, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
+        b = isoperimetric_check(tenth, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
+        builds = count_plan_builds(monkeypatch)
+        mixed = [zero[0], tenth[1], zero[1], tenth[0]]
+        got = isoperimetric_check(mixed, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
+        assert got == [a[0], b[1], a[1], b[0]]
         assert sorted(builds) == [64, 128]
 
     def test_member_measures_equal_weighted_measure_on_each_lattice(self):
@@ -255,7 +275,7 @@ class TestFamilySweep:
         fields, expected = mixed_lattice_sweep()
         builds = count_plan_builds(monkeypatch)
         for _ in range(2):
-            got = isoperimetric_check(fields[1:3], 0.1, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
+            got = isoperimetric_check(fields[1:3], ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
             assert got == expected[1:3]
         assert builds == [64, 64]
 
@@ -265,7 +285,7 @@ class TestFamilySweep:
         with pytest.raises(ValueError, match="at least 1"):
             isoperimetric_family(count, 0.1, 2025)
         with pytest.raises(ValueError, match="at least one field"):
-            isoperimetric_check([], 0.1, ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
+            isoperimetric_check([], ISOPERIMETRIC_CONSTANT, SWEEP_REGION)
 
 
 def trilinear_oracle(values, grid, zl, x1, x2, z):
@@ -318,7 +338,7 @@ class TestSharedTrilinearPlan:
     def test_isoperimetric_measures_unchanged(self):
         ext = isoperimetric_family(1, 0.0, 2025)[0]
         mc = WeightedRegion(sample_count=50_000, seed=43)
-        (res,) = isoperimetric_check([ext], 0.0, ISOPERIMETRIC_CONSTANT, mc)
+        (res,) = isoperimetric_check([ext], ISOPERIMETRIC_CONSTANT, mc)
         pts = mc.sample_points()
         grad = clamped_gradient_squared(ext)
         grad_ext = ExtensionField(ext.base_grid, ext.z_levels, grad, 0.0)

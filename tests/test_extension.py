@@ -394,8 +394,19 @@ class TestNeumannTrace:
         theta = random_band_limited(grid, 4, [36, 0, 0])
         top = 0.1 / grid_k_max(grid)
         ext = extend(theta, np.array([0.0, top / 2, top]), 0.05)
-        with pytest.raises(ValueError, match="insufficient"):
+        with pytest.raises(ValueError, match="insufficient") as exc:
             neumann_trace(ext)
+        assert str([top / 8, top / 4]) in str(exc.value)
+
+    def test_finer_levels_among_the_ladder_leave_the_trace(self, grid):
+        # the trace reads trace_ladder's four levels wherever they sit in
+        # z_levels; finer levels between them change nothing
+        theta = random_band_limited(grid, 4, [36, 0, 0])
+        ladder = trace_ladder(grid)
+        fine = np.unique(np.concatenate([ladder, np.linspace(0, 0.01, 101)]))
+        assert fine.size > ladder.size + 90 and fine[1] < ladder[1]
+        plain = neumann_trace(extend(theta, ladder, 0.05)).values
+        assert np.array_equal(neumann_trace(extend(theta, fine, 0.05)).values, plain)
 
 
 class TestDirichletEnergy:

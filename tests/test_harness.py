@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+def config_text(config):
+    """A RunConfig in the flat key = value format, floats by repr."""
+    lines = ["# sqgdiag run configuration"]
+    for f in fields(config):
+        v = getattr(config, f.name)
+        lines.append(f"{f.name} = {v!r}" if isinstance(v, float) else f"{f.name} = {v}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def config(tmp_path):
     return RunConfig(
@@ -57,7 +67,7 @@ def config(tmp_path):
 
 class TestConfigFormat:
     def test_text_round_trip(self, config):
-        assert parse_config(config.to_text()) == config
+        assert parse_config(config_text(config)) == config
 
     def test_comments_and_blanks(self):
         text = """
@@ -144,7 +154,7 @@ t_end = 0.5
             ic_amplitude=ic_amplitude, ic_file=ic_file,
             snapshot_interval=snapshot_interval, output_dir=output_dir,
         )
-        assert parse_config(cfg.to_text()) == cfg
+        assert parse_config(config_text(cfg)) == cfg
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -178,7 +188,7 @@ t_end = 0.5
 
     def test_file_round_trip(self, config, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text(config.to_text())
+        path.write_text(config_text(config))
         assert load_config(path) == config
 
     def test_invalid_values_rejected(self):
@@ -358,7 +368,7 @@ class TestCli:
             snapshot_interval=0.05,
             output_dir=str(out_dir),
         )
-        cfg_path.write_text(cfg.to_text())
+        cfg_path.write_text(config_text(cfg))
         assert main(["simulate", "--config", str(cfg_path)]) == 0
         captured = capsys.readouterr()
         assert "PASS simulation" in captured.out
@@ -380,7 +390,7 @@ class TestCli:
             initial_condition="random_band_limited", ic_k_max=8,
             snapshot_interval=0.1, output_dir=str(out_dir),
         )
-        (tmp_path / "run.cfg").write_text(cfg.to_text())
+        (tmp_path / "run.cfg").write_text(config_text(cfg))
         assert main(["simulate", "--config", str(tmp_path / "run.cfg")]) == 0
         printed = json.loads(capsys.readouterr().out.split("\n", 1)[1])
         saved = json.loads((out_dir / "report.json").read_text())
@@ -400,7 +410,7 @@ class TestCli:
             n=32, dt=5e-3, t_end=0.2, alpha=1.0, snapshot_interval=0.05,
             initial_condition="single_mode", output_dir=str(out_dir),
         )
-        (tmp_path / "run.cfg").write_text(cfg.to_text())
+        (tmp_path / "run.cfg").write_text(config_text(cfg))
         main(["simulate", "--config", str(tmp_path / "run.cfg")])
         capsys.readouterr()
         checkpoints = sorted(str(p) for p in out_dir.glob("checkpoint_*.sqgd"))
@@ -487,6 +497,7 @@ class TestCli:
             (["constants", "--L", "0.7", "--C", "1.2", "--alpha", "0.95", "--eta", "1.5"],
              "eta must be a number at most 1"),
             (["isoperimetric", "--samples", "1"], "sample_count must be at least 2"),
+            (["extension-check", "--epsilons", "0.0,x"], "could not convert"),
         ],
     )
     def test_unusable_input_exits_2(self, argv, message, tmp_path, capsys):
@@ -520,6 +531,34 @@ class TestCli:
         assert code == 2
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv,target,expected",
+        [
+            (["isoperimetric"], "isoperimetric_report", {}),
+            (["isoperimetric", "--count", "3", "--seed", "9"], "isoperimetric_report",
+             {"count": 3, "seed": 9}),
+            (["extension-check"], "extension_report", {}),
+            (["extension-check", "--epsilons", "0.0,0.1"], "extension_report",
+             {"epsilons": (0.0, 0.1)}),
+            (["extension-check", "--n", "32", "--seed", "4"], "extension_report",
+             {"n": 32, "seed": 4}),
+            (["diagnose", "a.sqgd"], "diagnose", {}),
+            (["diagnose", "a.sqgd", "--side-length", "3.0"], "diagnose", {"side_length": 3.0}),
+        ],
+    )
+    def test_defaults_are_the_harness_signatures(self, argv, target, expected, monkeypatch):
+        # an option the user did not give is not passed on: the harness
+        # function's own default applies
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return harness_mod.RunReport({}, [], {}, {})
+
+        monkeypatch.setattr(f"sqgdiag.cli.{target}", recorded)
+        assert main(argv) == 0
+        assert calls == [expected]
 
     def test_extension_check_subcommand(self, capsys, monkeypatch):
         monkeypatch.setenv("SQG_NO_COLOR", "1")

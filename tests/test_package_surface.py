@@ -4,11 +4,14 @@ An AST scan, so a name that appears only in a comment, a docstring or a
 string does not count as read.  A read is a ``Name`` or ``Attribute`` load in
 ``src/``, ``demos/`` or ``perfbench/``, outside the top-level statement that
 defines the name.  Imports are not reads, so the re-exports in
-``sqgdiag/__init__.py`` do not count either.  Tests are not readers: an
-oracle or a calibration that only the suite calls lives in ``tests/``.
+``sqgdiag/__init__.py`` do not count either.  A function defined in a class
+body (a method or a property) is read when its name is loaded as an
+attribute outside its own body.  Tests are not readers: an oracle or a
+calibration that only the suite calls lives in ``tests/``.
 """
 
 import ast
+from collections import Counter
 import os
 import re
 import subprocess
@@ -69,6 +72,36 @@ def test_every_top_level_name_is_read_outside_its_definition():
                     name in names for where, names in reads.items() if where != (path, i)
                 ):
                     unread.append(f"{path.name}: {name}")
+    assert unread == []
+
+
+def attribute_reads(tree):
+    """How often each name is loaded as an attribute in tree."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_class_function_is_read_as_an_attribute():
+    reads = Counter()
+    for folder in READERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            reads += attribute_reads(parse(path))
+
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if item.name.startswith("__") and item.name.endswith("__"):
+                    continue
+                if reads[item.name] - attribute_reads(item)[item.name] <= 0:
+                    unread.append(f"{path.name}: {cls.name}.{item.name}")
     assert unread == []
 
 
