@@ -352,7 +352,7 @@ def local_energy_check(history, velocities, cutoff, level, t1, t2, C1):
     history: ExtensionField snapshots on one lattice (grid, z-levels and
     weight exponent of history[0]); velocities: VelocityField snapshots,
     which are only matched against the history's time grid and enter no
-    term; cutoff: (n, n) or (n_z, n, n) of that lattice (all validated).
+    term; cutoff: (n_z, n, n), the lattice's own shape (all validated).
     All integrals of the bound are evaluated with the z^eps-weighted
     trapezoid in z, grid sums in x and trapezoid in t; the declared budget
     adds the per-snapshot quadrature estimates and a relative floor.  Every

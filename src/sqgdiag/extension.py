@@ -302,26 +302,15 @@ def _z_derivative(values, z):
     return out
 
 
-def _gradient_weight(grid):
-    """Parseval weight of |grad f|^2 on the rfft2 half spectrum.
-
-    sum_x |grad f|^2 h^2 = h^2 sum_k weight[k] |rfft2(f)[k]|^2, from the
-    operator's derivative symbols (zero on their Nyquist lines, as for the
-    real part of the full-spectrum derivative) and its Parseval weight.
-    """
-    op = half_spectrum(grid)
-    return (np.abs(op.dx1) ** 2 + np.abs(op.dx2) ** 2) * op.parseval / float(grid.n) ** 2
-
-
 SUPPORT_PAD = 2  # nodes of zeros around a cutoff's support box
 
 
 def cutoff_box(cutoff, shape):
-    """A cutoff as (n_z or 1, n, n) levels and the horizontal box of its support.
+    """A cutoff as levels and the horizontal box of its support.
 
     ``shape`` is (n_z, n, n) of the extension lattice; the cutoff must be
-    (n, n) (broadcast over z) or exactly ``shape``, and None is 1.  The box
-    is a pair of slices: the bounding box of ``cutoff != 0`` over all
+    exactly ``shape``, and None is 1, returned as one (1, n, n) level.  The
+    box is a pair of slices: the bounding box of ``cutoff != 0`` over all
     levels, padded by SUPPORT_PAD nodes, so that a product with the cutoff
     vanishes outside it and a centred difference of the cutoff that wraps
     inside the box sees zeros at its edges.  A padded box that does not fit
@@ -333,12 +322,8 @@ def cutoff_box(cutoff, shape):
     if cutoff is None:
         return np.ones((1, n, n)), whole
     cut = np.asarray(cutoff, dtype=float)
-    if cut.shape == shape[1:]:
-        cut = cut[None, :, :]
-    if cut.shape not in ((1,) + shape[1:], shape):
-        raise ValueError(
-            f"cutoff shape {np.shape(cutoff)} is neither {shape[1:]} nor {shape}"
-        )
+    if cut.shape != shape:
+        raise ValueError(f"cutoff shape {cut.shape} is not the lattice shape {shape}")
     nonzero = np.any(cut != 0.0, axis=0)
     box = []
     for other in (1, 0):
@@ -358,13 +343,12 @@ def weighted_dirichlet_energy(ext, cutoff=None):
     trapezoid above.  Returns (value, error_estimate), the estimate being
     the curvature term of the panel-wise linear model.
 
-    cutoff may be None (full window), a 2-d array broadcast over z, or an
-    array shaped like ext.values; it must be supported inside the grid
-    window.  cutoff * theta and its z-derivative are formed only on the
-    cutoff's support box (``cutoff_box``), into which the levels are read
-    one at a time; each level of the product is embedded in a zeroed
-    (n, n) array for its transform, so the sums are those of the whole
-    lattice.
+    cutoff may be None (full window) or an array shaped like ext.values,
+    (n_z, n, n); it must be supported inside the grid window.  cutoff *
+    theta and its z-derivative are formed only on the cutoff's support box
+    (``cutoff_box``), into which the levels are read one at a time; each
+    level of the product is embedded in a zeroed (n, n) array for its
+    transform, so the sums are those of the whole lattice.
     """
     cut, box = cutoff_box(cutoff, ext.shape)
     eta = cut[:, box[0], box[1]]
@@ -379,7 +363,7 @@ def _box_dirichlet(prod, box, grid, z, eps):
     prod holds the product on the box, shaped (len(z), box rows, box
     columns); ``local_energy_check`` calls this on its truncations directly.
     """
-    grad_weight = _gradient_weight(grid)
+    grad_weight = half_spectrum(grid).gradient_weight
     level = np.zeros(grid.shape)
     spec = np.empty((grid.n, grid.n // 2 + 1), dtype=complex)
     g_levels = np.empty(len(z))

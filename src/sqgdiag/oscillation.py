@@ -18,7 +18,8 @@ argument as measurable diagnostics on simulation output:
   with all bookkeeping bounds re-checked rather than assumed; it reads its
   snapshots one at a time, so it may be fed an iterator;
 * the driver that runs the whole iteration, measuring the per-step
-  oscillation improvement eta and fitting an empirical decay exponent; it
+  oscillation improvement eta, taking delta from step 1's eta
+  (``constants.choose_delta``) and fitting an empirical decay exponent; it
   stops at the first bookkeeping bound that fails (the measured slow
   velocity against SPLIT_BOUND_CONSTANT among them), and
   ``IterationResult.passed`` is its one verdict.  Each step reads only
@@ -370,7 +371,7 @@ def recenter_flow(w_slow, M, t_start, steps):
 class RescaleOutcome:
     hypothesis_ok: bool  # |theta_tilde - m| <= rho^delta on Q_rho
     outside_ok: bool  # |theta_{k+1}| <= 2 |x|^(2 delta) for 1 < |x| <= margin
-    max_inside: float  # sup |theta_{k+1}| over Q_1
+    inside_range: tuple  # (min, max) of theta_{k+1} over B_1, every produced slice
     worst_outside_ratio: float  # sup over 1 < |x| of |theta_{k+1}| / (2 |x|^(2 delta))
     M_next: float
     M_monotone: bool
@@ -388,7 +389,9 @@ def rescale_recenter(history, cyl, path, m, delta, M_k):
     holds lets each be freed once its successor exists.  The
     decay-hypothesis precondition and both outer bookkeeping bounds are
     measured on the produced fields (never assumed); violations are
-    reported as flags, not exceptions.  The outer bound is checked up to
+    reported as flags, not exceptions.  One scan of B_1 gives the produced
+    range ``inside_range``, from which the hypothesis reads sup |theta_next|
+    and the driver the oscillation.  The outer bound is checked up to
     EDGE_MARGIN of the window half-side: the zoomed patch is re-declared
     periodic, so the outermost rim carries interpolation mismatch and is
     excluded.  M shrinks by rho^(delta - epsilon), epsilon = 1 - alpha.
@@ -425,18 +428,15 @@ def rescale_recenter(history, cyl, path, m, delta, M_k):
     inside = r < 1.0
     check_radius = EDGE_MARGIN * 0.5 * grid.side_length
     outer = (r > 1.0) & (r <= check_radius)
-    max_inside = 0.0
-    worst_ratio = 0.0
-    for f in new_history:
-        max_inside = max(max_inside, float(np.max(np.abs(f.values[inside]))))
-        envelope = 2.0 * r[outer] ** (2.0 * delta)
-        worst_ratio = max(worst_ratio, float(np.max(np.abs(f.values[outer]) / envelope)))
+    lo, hi = _extremes(f.values[inside] for f in new_history)
+    envelope = 2.0 * r[outer] ** (2.0 * delta)
+    worst_ratio = max(float(np.max(np.abs(f.values[outer]) / envelope)) for f in new_history)
 
     M_next = rho ** (delta - (1.0 - cyl.alpha)) * M_k
     outcome = RescaleOutcome(
-        hypothesis_ok=bool(max_inside <= 1.0 + 1e-9),
+        hypothesis_ok=bool(max(hi, -lo) <= 1.0 + 1e-9),
         outside_ok=bool(worst_ratio <= 1.0 + 1e-9),
-        max_inside=max_inside,
+        inside_range=(lo, hi),
         worst_outside_ratio=worst_ratio,
         M_next=float(M_next),
         M_monotone=bool(M_next <= M_k * (1.0 + 1e-12)),
@@ -494,7 +494,6 @@ class IterationConfig:
     M: float
     alpha: float
     steps: int = 4
-    delta: float = None  # chosen from the step-1 eta when None
     ode_step_divisor: int = 64
     bound_sample_rings: int = 3
 
@@ -596,10 +595,14 @@ def run_iteration_suite(history, config):
     (0, 1] (use normalize_window).  Each step measures the oscillation of
     the current iterate on Q_1 and Q_{1/2}, splits the velocity, bounds the
     slow components, solves the recentering ODE, verifies cylinder
-    containment, and rescales.  Each step's bookkeeping bounds are judged
-    in order: decay hypothesis, cylinder containment, outer bound, split
-    bound, M monotone.  The split bound compares the measured sup|w2| and
-    sup|w3| with SPLIT_BOUND_CONSTANT times log(1/rho) and rho.  It is
+    containment, and rescales.  Step 1's improvement eta fixes delta =
+    choose_delta(rho, eta) for the run; a step 1 with eta <= 0 ends it.
+    A record's oscillation is the produced iterate's range over B_1, every
+    produced slice included, as ``rescale_recenter`` measures it.  Each
+    step's bookkeeping bounds are judged in order: decay hypothesis,
+    cylinder containment, outer bound, split bound, M monotone.  The split
+    bound compares the measured sup|w2| and sup|w3| with
+    SPLIT_BOUND_CONSTANT times log(1/rho) and rho.  It is
     judged from step 2 on, where the iterate has passed the hypothesis and
     the outer bound and so lies in the admissible class the constant was
     calibrated on; step 1 uses the two-piece split, outside that class, and
@@ -626,13 +629,11 @@ def run_iteration_suite(history, config):
     q1 = ParabolicCylinder(1.0, alpha)
     q_half = ParabolicCylinder(0.5, alpha)
     flow_cyl = ParabolicCylinder(rho, alpha)
-    d1, d2 = grid.displacement(grid.center)
-    inside = d1 * d1 + d2 * d2 < 1.0
 
     records = []
     current = list(history)  # the suite's own list: it drains it, not the caller's
     M_k = M
-    delta = config.delta
+    delta = None
     eta_min = np.inf
     amplitude = 1.0  # accumulated rho^(delta * (k-1)) factor, original units
     failure = ""
@@ -649,7 +650,7 @@ def run_iteration_suite(history, config):
             break
         eta_k = 1.0 - osc_half / osc_full
         eta_min = min(eta_min, eta_k)
-        if delta is None:
+        if k == 1:
             if eta_k <= 0:
                 failure = f"no oscillation improvement at step {k} (eta = {eta_k:.3f})"
                 break
@@ -692,7 +693,7 @@ def run_iteration_suite(history, config):
             _drain(current), flow_cyl, path, m, delta, M_k
         )
         # over every produced slice, t' = 0 included
-        new_min, new_max = _extremes(f.values[inside] for f in new_history)
+        new_min, new_max = outcome.inside_range
         produced_osc = new_max - new_min
         amplitude *= rho**delta
         records.append(

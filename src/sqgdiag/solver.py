@@ -179,6 +179,7 @@ class SqgSolver:
         self._coeff_cache = OrderedDict()
         self.steps = 0
         self.phi_builds = 0
+        self._last_max_speed = 0.0
         half = self.op.magnitude.shape
         self._scratch = np.empty(half, dtype=np.complex128)
         self._u, self._v, self._tx, self._ty = (np.empty(grid.shape) for _ in range(4))
@@ -279,10 +280,9 @@ class SqgSolver:
 
     def cfl_bound(self):
         """CFL bound from the last stage of the most recent step."""
-        speed = getattr(self, "_last_max_speed", 0.0)
-        if speed == 0.0:
+        if self._last_max_speed == 0.0:
             return np.inf
-        return CFL_SAFETY * self.grid.spacing / speed
+        return CFL_SAFETY * self.grid.spacing / self._last_max_speed
 
 
 @dataclass

@@ -4,7 +4,9 @@ Everything downstream (solver, extension, diagnostics) is built on a square
 doubly-periodic grid.  This module owns the grid bookkeeping, the
 package's one half-spectrum transform pair (``rfft2``/``irfft2``), the
 cached per-grid half-spectrum operator (``half_spectrum``) that holds every
-Fourier symbol of the package, the multipliers and norms built on it
+Fourier symbol of the package (|k| and its distinct radii, the dealiasing
+mask, the Riesz and derivative symbols, the Parseval column weight and the
+gradient-energy weight), the multipliers and norms built on it
 (fractional Laplacian, Riesz velocity, homogeneous Sobolev norms,
 Parseval sums), and band-limited evaluation of a gridded field at
 arbitrary uniform lattices (chirp-z on the half spectrum), which the
@@ -147,7 +149,9 @@ class HalfSpectrum:
     scattered; the 2/3-rule mask ``dealias``;
     the velocity symbols ``riesz_u`` = -i k2/|k| and ``riesz_v`` = i k1/|k|
     (zero at k = 0); the derivative symbols ``dx1`` = i k1 and ``dx2``
-    = i k2 as a column and a row; and the column weight ``parseval``.  The
+    = i k2 as a column and a row; the column weight ``parseval``; and
+    ``gradient_weight`` = (|dx1|^2 + |dx2|^2) parseval / n^2, with which
+    sum_x |grad f|^2 h^2 = h^2 sum_k gradient_weight |rfft2(f)|^2.  The
     odd symbols are zeroed on their Nyquist line (see the module
     Conventions).  Use ``half_spectrum(grid)``.
     """
@@ -177,6 +181,9 @@ class HalfSpectrum:
         self.dx2[0, n // 2] = 0.0
         self.parseval = np.full(n // 2 + 1, 2.0)
         self.parseval[[0, n // 2]] = 1.0
+        self.gradient_weight = (
+            (np.abs(self.dx1) ** 2 + np.abs(self.dx2) ** 2) * self.parseval / float(n) ** 2
+        )
         for array in vars(self).values():
             array.flags.writeable = False
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import admissible_field, calibrate_split_bound_constant, calibrate_tail_constant
+from sqgdiag.constants import choose_delta
 from sqgdiag.oscillation import (
     IterationConfig,
     ParabolicCylinder,
@@ -396,7 +397,8 @@ class TestRescaleRecenter:
         hist = [ScalarField(self.grid, vals, t) for t in self.times]
         new, out = rescale_recenter(hist, self.cyl, self.path, 0.0, delta, 1.0)
         assert out.hypothesis_ok
-        assert out.max_inside == pytest.approx(1.0, abs=1e-9)
+        lo, hi = out.inside_range
+        assert max(hi, -lo) == pytest.approx(1.0, abs=1e-9)
 
     def test_time_relabeling(self):
         hist = [ScalarField(self.grid, np.zeros(self.grid.shape), t) for t in self.times]
@@ -454,6 +456,11 @@ def decaying_mode_history():
     return normalize_window(raw, t_end=1.0)
 
 
+def pin_delta(monkeypatch, delta):
+    """Make the suite's step-1 choice of delta return ``delta``."""
+    monkeypatch.setattr(oscillation_module, "choose_delta", lambda rho, eta: delta)
+
+
 class TestIterationSuite:
     def test_zero_field_degenerate_success(self):
         g = Grid(256, 4 * np.pi)
@@ -468,13 +475,12 @@ class TestIterationSuite:
         with pytest.raises(ValueError, match="steps"):
             IterationConfig(rho=1 / 16, M=1.0, alpha=0.95, steps=0)
 
-    def test_stops_at_false_M_monotone(self):
+    def test_stops_at_false_M_monotone(self, monkeypatch):
         # delta = 0.01 < eps = 0.05: M_next = rho^(delta - eps) M_k grows,
         # while the other three bounds hold at step 1
+        pin_delta(monkeypatch, 0.01)
         hist, M = decaying_mode_history()
-        res = run_iteration_suite(
-            hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3, delta=0.01)
-        )
+        res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3))
         assert res.completed_steps == 1
         assert "M monotone" in res.failure and "step 1" in res.failure
         assert res.passed is False
@@ -505,7 +511,7 @@ class TestIterationSuite:
         assert rec.bounds.hypothesis_ok and rec.containment_ok and rec.bounds.outside_ok
         assert rec.bounds.M_next > rec.M_k
 
-    def test_stops_at_false_split_bound(self):
+    def test_stops_at_false_split_bound(self, monkeypatch):
         # on Grid(1024, 64) B_{2/rho} = B_32 fits and the corners hold far
         # nodes.  theta = x1 exp(-|x|^2 / 2) / 2, frozen in time, is zoomed
         # with delta = 1 into theta_2 ~ x1 exp(-|x|^2 / 512) / 2: at most 1/2
@@ -517,9 +523,9 @@ class TestIterationSuite:
         theta = 0.5 * d1 * np.exp(-(d1**2 + d2**2) / 2)
         times = iteration_snapshot_times(1.0, 1 / 16, 0.95, steps=2, per_window=4)
         hist = [ScalarField(g, theta, t) for t in np.concatenate([[0.0], times[times > 0]])]
+        pin_delta(monkeypatch, 1.0)
         res = run_iteration_suite(
-            hist,
-            IterationConfig(rho=1 / 16, M=1.0, alpha=0.95, steps=2, delta=1.0, ode_step_divisor=2),
+            hist, IterationConfig(rho=1 / 16, M=1.0, alpha=0.95, steps=2, ode_step_divisor=2)
         )
         assert res.failure.startswith("split bound") and res.failure.endswith("step 2")
         assert res.passed is False
@@ -538,7 +544,7 @@ class TestIterationSuite:
         assert res.passed is False
         assert res.records[0].containment_ok and not res.records[1].containment_ok
 
-    def test_stops_at_false_hypothesis(self):
+    def test_stops_at_false_hypothesis(self, monkeypatch):
         # a frozen bump of height 1 at the centre: the midrange over Q_1/2
         # is near 1/2, so |theta - m| ~ 1/2 > rho^delta = 1/4 on Q_rho
         g = Grid(256, 4 * np.pi)
@@ -546,9 +552,8 @@ class TestIterationSuite:
         bump = np.exp(-(d1**2 + d2**2) / (2 * 0.15**2))
         raw = [ScalarField(g, bump, t) for t in np.linspace(0, 1, 13)]
         hist, M = normalize_window(raw, t_end=1.0)
-        res = run_iteration_suite(
-            hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3, delta=0.5)
-        )
+        pin_delta(monkeypatch, 0.5)
+        res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3))
         assert res.completed_steps == 1
         assert "decay hypothesis" in res.failure and "step 1" in res.failure
         assert res.passed is False
@@ -591,6 +596,27 @@ class TestIterationSuite:
         assert len(hist) == len(given_snapshots)
         assert all(a is b for a, b in zip(hist, given_snapshots))
 
+    def test_recorded_oscillation_is_the_produced_range_on_B1(self, monkeypatch):
+        # recomputed here over every produced slice, t' = 0 included
+        rescale = oscillation_module.rescale_recenter
+        produced = []
+
+        def recording(*args):
+            new_history, outcome = rescale(*args)
+            g = new_history[0].grid
+            d1, d2 = g.displacement(g.center)
+            inside = d1 * d1 + d2 * d2 < 1.0
+            values = np.stack([f.values[inside] for f in new_history])
+            produced.append(float(values.max() - values.min()))
+            return new_history, outcome
+
+        monkeypatch.setattr(oscillation_module, "rescale_recenter", recording)
+        hist, M = decaying_mode_history()
+        res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3))
+        assert res.passed, res.failure
+        assert [rec.oscillation for rec in res.records] == produced
+        assert len(produced) == 3 and all(osc > 0.0 for osc in produced)
+
     def test_uncovered_frame_is_a_structured_failure(self):
         # a first stamp past the coverage slack of 1e-9: Q_1 cannot be
         # measured, and the suite reports so instead of raising
@@ -621,6 +647,8 @@ class TestIterationSuite:
         assert res.completed_steps == 3, res.failure
         assert res.passed
         assert res.fitted_decay_exponent > 0
+        # delta is the ledger's choice from the step-1 improvement
+        assert res.delta == choose_delta(1 / 16, res.records[0].eta)
         rho_a = (1 / 16) ** alpha
         for rec in res.records:
             assert rec.containment_ok
@@ -647,11 +675,12 @@ class TestIterationSuite:
             blob = json.loads(line)
             assert {"k", "r_k", "osc", "max_V", "M_k", "far_empty", "split_bound_ok"} <= set(blob)
 
-    def test_far_empty_reported_apart_from_truncation(self):
+    def test_far_empty_reported_apart_from_truncation(self, monkeypatch):
         # rho = 1/4 on a 4 pi torus: from step 2 on, B_8 overflows the
         # half-side 2 pi (truncated) but the corners, out to 2 pi sqrt(2),
         # still hold far nodes; step 1's two-piece split has no far piece.
-        # rho exceeds the ledger's cap, so delta is given
+        # rho exceeds the ledger's cap, where choose_delta has no value, so
+        # delta is pinned
         L, rho, alpha = 4 * np.pi, 0.25, 0.95
         g = Grid(256, L)
         x1, _ = g.coordinates()
@@ -659,8 +688,9 @@ class TestIterationSuite:
         times = np.concatenate([[0.0], times[times > 0]])
         raw = [ScalarField(g, np.exp(-t) * np.sin(x1 - L / 2), t) for t in times]
         hist, M = normalize_window(raw, t_end=1.0)
+        pin_delta(monkeypatch, 0.1)
         res = run_iteration_suite(
-            hist, IterationConfig(rho=rho, M=M, alpha=alpha, steps=2, delta=0.1, ode_step_divisor=8)
+            hist, IterationConfig(rho=rho, M=M, alpha=alpha, steps=2, ode_step_divisor=8)
         )
         assert res.completed_steps == 2, res.failure
         assert res.passed

@@ -311,7 +311,7 @@ class TestHalfSpectrum:
         arrays = vars(op)
         assert set(arrays) == {
             "magnitude", "radii", "radius_index", "dealias",
-            "riesz_u", "riesz_v", "dx1", "dx2", "parseval",
+            "riesz_u", "riesz_v", "dx1", "dx2", "parseval", "gradient_weight",
         }
         for name, array in arrays.items():
             assert not array.flags.writeable, name
