@@ -56,7 +56,6 @@ from .constants import (
     build_ledger,
     choose_delta,
     choose_rho,
-    verify_closing_inequality,
 )
 from .harness import RunConfig, RunReport, diagnose, load_config, parse_config, simulate
 

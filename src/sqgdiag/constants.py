@@ -1,4 +1,4 @@
-"""Selection and verification of the iteration constants.
+"""Selection of the iteration constants.
 
 The oscillation-decay iteration needs a cylinder contraction ratio rho and a
 Hoelder exponent delta chosen against three measured inputs: L (supremum of
@@ -15,7 +15,9 @@ and delta is then the largest exponent with rho^delta >= max(1 - eta, 2/3)
 region bookkeeping is (4 rho)^delta (3/2 - rho^delta / 2) < 1, which holds
 for every rho <= 1/16 and delta > 0 because with x = rho^(delta/2) in (0, 1)
 the majorant is x (3/2 - x^2 / 2), increasing on [0, 1] with maximum 1 at
-x = 1.
+x = 1, and 4 rho <= sqrt(rho) gives (4 rho)^delta <= x.  This proof is why
+the ledger records no verdict: every pair that choose_rho and choose_delta
+return satisfies all of the above by construction.
 
 There is no circular dependence: the build order is (L, C) -> rho -> eta
 (measured by the oscillation suite) -> delta, and build_ledger enforces it.
@@ -36,14 +38,10 @@ class InfeasibleConstants(ValueError):
     """No admissible constant exists for the given inputs."""
 
 
-def _rho_constraints(rho, L, C, alpha):
+def rho_feasible(rho, L, C, alpha):
     g1 = L * rho**alpha + rho
     g2 = -C * rho**alpha * np.log(rho) + C * rho ** (1.0 + alpha) + rho
-    return g1 <= 0.5, g2 <= 0.5, rho <= RHO_CAP
-
-
-def rho_feasible(rho, L, C, alpha):
-    return all(_rho_constraints(rho, L, C, alpha))
+    return bool(g1 <= 0.5 and g2 <= 0.5 and rho <= RHO_CAP)
 
 
 def choose_rho(L, C, alpha):
@@ -71,59 +69,38 @@ def choose_rho(L, C, alpha):
             lo = mid
         else:
             hi = mid
-    assert rho_feasible(lo, L, C, alpha)
-    return lo
+    return lo  # feasible: lo moves only onto feasible midpoints
 
 
 def choose_delta(rho, eta):
     """Largest delta with rho^delta >= max(1 - eta, 2/3).
 
-    eta <= 0 means no measured oscillation improvement, so no positive
-    exponent exists.  A measured eta = 1 - osc(Q_1/2)/osc(Q_1) is at most
-    1, so a larger or non-finite eta is a ValueError.  The returned value
-    also satisfies rho^(-delta) <= 3/2.
+    This function owns the rule "no contraction was measured": when
+    max(1 - eta, 2/3) is not below 1 in floating point, which covers
+    eta <= 0 and every eta below about 5.5e-17, no positive exponent
+    exists and InfeasibleConstants is raised.  A measured
+    eta = 1 - osc(Q_1/2)/osc(Q_1) is at most 1, so a larger or non-finite
+    eta is a ValueError.  The returned value also satisfies
+    rho^(-delta) <= 3/2.
     """
     if not (0.0 < rho <= RHO_CAP):
         raise ValueError(f"rho must lie in (0, {RHO_CAP}]")
     if not (np.isfinite(eta) and eta <= 1.0):
         raise ValueError(f"eta must be a number at most 1, got {eta}")
-    if eta <= 0.0:
-        raise InfeasibleConstants("eta <= 0: no contraction measured")
     target = max(1.0 - eta, OSC_FLOOR)
-    delta = np.log(target) / np.log(rho)
-    assert delta > 0.0
-    return float(delta)
-
-
-@dataclass
-class ClosingInequality:
-    value: float  # (4 rho)^delta (3/2 - rho^delta / 2)
-    majorant: float  # rho^(delta/2) (3/2 - rho^delta / 2)
-    chain_holds: bool  # (4 rho)^delta <= rho^(delta/2)
-    passed: bool
-
-
-def verify_closing_inequality(rho, delta):
-    """Evaluate the closing polynomial bound and its majorant chain."""
-    if not (0.0 < rho <= RHO_CAP):
-        raise ValueError(f"rho must lie in (0, {RHO_CAP}]")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    rd = rho**delta
-    value = (4.0 * rho) ** delta * (1.5 - 0.5 * rd)
-    majorant = rho ** (delta / 2.0) * (1.5 - 0.5 * rd)
-    chain = (4.0 * rho) ** delta <= rho ** (delta / 2.0) * (1.0 + 1e-15)
-    return ClosingInequality(
-        value=float(value),
-        majorant=float(majorant),
-        chain_holds=bool(chain),
-        passed=bool(chain and majorant < 1.0),
-    )
+    if target >= 1.0:
+        raise InfeasibleConstants(f"no oscillation improvement (eta = {eta:.3g})")
+    return float(np.log(target) / np.log(rho))
 
 
 @dataclass
 class ConstantLedger:
-    """All iteration constants plus per-constraint feasibility flags."""
+    """The measured inputs and the rho and delta chosen from them.
+
+    It carries no verdict: build_ledger returns a ledger only when
+    choose_rho and choose_delta both succeed, and the module docstring
+    proves that such a pair closes the iteration.
+    """
 
     epsilon: float
     alpha: float
@@ -133,24 +110,9 @@ class ConstantLedger:
     eta: float
     rho: float
     delta: float
-    feasibility: dict
-
-    def all_feasible(self):
-        return all(self.feasibility.values())
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2)
-
-
-def ledger_feasibility(L, C, alpha, eta, rho, delta):
-    g1, g2, g3 = _rho_constraints(rho, L, C, alpha)
-    return {
-        "first_step_containment": bool(g1),
-        "flow_containment": bool(g2),
-        "rho_cap": bool(g3),
-        "oscillation_floor": bool(rho**delta >= max(1.0 - eta, OSC_FLOOR) - 1e-12),
-        "amplitude_cap": bool(rho ** (-delta) <= 2.0 + 1e-12),
-    }
 
 
 def build_ledger(L, C, alpha, eta, M):
@@ -164,9 +126,6 @@ def build_ledger(L, C, alpha, eta, M):
             raise ValueError(f"{name} must be finite and non-negative")
     rho = choose_rho(L, C, alpha)
     delta = choose_delta(rho, eta)
-    closing = verify_closing_inequality(rho, delta)
-    feas = ledger_feasibility(L, C, alpha, eta, rho, delta)
-    feas["closing_inequality"] = closing.passed
     return ConstantLedger(
         epsilon=1.0 - alpha,
         alpha=alpha,
@@ -176,5 +135,4 @@ def build_ledger(L, C, alpha, eta, M):
         eta=float(eta),
         rho=float(rho),
         delta=float(delta),
-        feasibility=feas,
     )

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import choose_delta
+from .constants import InfeasibleConstants, choose_delta
 from .spectral import (
     Grid,
     RIESZ_KERNEL_CONSTANT,
@@ -596,7 +596,8 @@ def run_iteration_suite(history, config):
     the current iterate on Q_1 and Q_{1/2}, splits the velocity, bounds the
     slow components, solves the recentering ODE, verifies cylinder
     containment, and rescales.  Step 1's improvement eta fixes delta =
-    choose_delta(rho, eta) for the run; a step 1 with eta <= 0 ends it.
+    choose_delta(rho, eta) for the run; when choose_delta finds no
+    improvement, the run ends with its message as the failure.
     A record's oscillation is the produced iterate's range over B_1, every
     produced slice included, as ``rescale_recenter`` measures it.  Each
     step's bookkeeping bounds are judged in order: decay hypothesis,
@@ -651,10 +652,11 @@ def run_iteration_suite(history, config):
         eta_k = 1.0 - osc_half / osc_full
         eta_min = min(eta_min, eta_k)
         if k == 1:
-            if eta_k <= 0:
-                failure = f"no oscillation improvement at step {k} (eta = {eta_k:.3f})"
+            try:
+                delta = choose_delta(rho, eta_k)
+            except InfeasibleConstants as exc:
+                failure = f"{exc} at step {k}"
                 break
-            delta = choose_delta(rho, eta_k)
 
         # velocity split over the flow window; step 1 uses the two-piece split
         window = flow_cyl.window(current)

@@ -306,7 +306,8 @@ def sobolev_norm(field, order):
 
 
 def l2_norm(field):
-    return sobolev_norm(field, 0.0)
+    """L^2 norm on the torus as the physical sum sqrt(sum f^2 h^2)."""
+    return float(np.sqrt(np.sum(field.values**2) * field.grid.spacing**2))
 
 
 def _fast_length(n):

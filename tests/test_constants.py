@@ -11,9 +11,7 @@ from sqgdiag.constants import (
     build_ledger,
     choose_delta,
     choose_rho,
-    ledger_feasibility,
     rho_feasible,
-    verify_closing_inequality,
 )
 
 
@@ -76,14 +74,23 @@ class TestChooseDelta:
         # (zero oscillation on Q_1/2) still builds a ledger
         floor = np.log(2.0 / 3.0) / np.log(1.0 / 16.0)
         assert choose_delta(1.0 / 16.0, 1.0) == pytest.approx(floor, rel=1e-12)
-        assert build_ledger(L=0.7, C=1.2, alpha=0.95, eta=1.0, M=1.0).all_feasible()
+        led = build_ledger(L=0.7, C=1.2, alpha=0.95, eta=1.0, M=1.0)
+        assert led.delta == pytest.approx(floor, rel=1e-12)
         for eta in (1.0 + 1e-12, 1.5, np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="at most 1"):
                 choose_delta(1.0 / 16.0, eta)
 
     def test_no_improvement_infeasible(self):
-        with pytest.raises(InfeasibleConstants):
-            choose_delta(1.0 / 16.0, 0.0)
+        # below eta ~ 5.5e-17, 1 - eta rounds to 1: no positive exponent
+        for eta in (-0.1, 0.0, 1e-17, 5e-17):
+            with pytest.raises(InfeasibleConstants, match="no oscillation improvement"):
+                choose_delta(1.0 / 16.0, eta)
+
+    @pytest.mark.parametrize("eta", [1.2e-16, 1e-9, 2e-8])
+    def test_tiny_improvement_builds_a_ledger(self, eta):
+        led = build_ledger(L=0.7, C=1.2, alpha=0.95, eta=eta, M=1.0)
+        assert led.delta > 0.0
+        assert led.rho**led.delta < 1.0
 
     def test_amplitude_cap_automatic(self):
         for eta in (0.05, 0.3, 0.9):
@@ -97,33 +104,15 @@ class TestChooseDelta:
 
 
 class TestClosingInequality:
-    def test_reference_point(self):
-        res = verify_closing_inequality(1.0 / 16.0, 0.038)
-        assert res.passed
-        assert res.majorant == pytest.approx(0.9961, abs=5e-4)
-        x = (1.0 / 16.0) ** (0.038 / 2.0)
-        assert x == pytest.approx(0.949, abs=2e-3)
-
-    def test_boundary_identity_at_cap(self):
-        # 4 rho = sqrt(rho) exactly at rho = 1/16
-        for delta in (0.01, 0.3, 2.0):
-            res = verify_closing_inequality(1.0 / 16.0, delta)
-            assert res.value == pytest.approx(res.majorant, rel=1e-14)
-            assert res.chain_holds
-
-    def test_small_delta_limit(self):
-        for delta in (1e-6, 1e-4, 1e-2, 0.5, 1.0):
-            res = verify_closing_inequality(1.0 / 16.0, delta)
-            assert res.passed
-            assert res.majorant < 1.0
-
     def test_sweep_majorant_below_one(self):
-        # the polynomial x (3/2 - x^2/2) on (0, 1) stays below its maximum
-        # value 1 attained at x = 1
+        # the two facts of the module's proof: 4 rho <= sqrt(rho) gives
+        # (4 rho)^delta <= x = rho^(delta/2), and the polynomial
+        # x (3/2 - x^2/2) on (0, 1) stays below its maximum value 1 at x = 1
         rhos = np.linspace(1e-6, 1.0 / 16.0, 100)
         deltas = np.linspace(1e-6, 10.0, 100)
         R, D = np.meshgrid(rhos, deltas)
         X = R ** (D / 2.0)
+        assert np.all((4.0 * R) ** D <= X * (1.0 + 1e-15))
         majorant = X * (1.5 - 0.5 * X**2)
         assert np.all(majorant < 1.0)
         assert np.all(X * (1.5 - 0.5 * X * X) <= X.max() * 1.5)
@@ -132,11 +121,10 @@ class TestClosingInequality:
 class TestLedger:
     def test_build_order_and_feasibility(self):
         led = build_ledger(L=0.7, C=1.2, alpha=0.95, eta=0.2, M=1.0)
-        assert led.all_feasible()
         assert led.rho == RHO_CAP
+        assert rho_feasible(led.rho, led.L, led.C_step, led.alpha)
+        assert led.delta == choose_delta(RHO_CAP, 0.2)
         assert led.alpha + led.epsilon == pytest.approx(1.0)
-        flags = ledger_feasibility(led.L, led.C_step, led.alpha, led.eta, led.rho, led.delta)
-        assert all(flags.values())
 
     def test_feasibility_by_direct_substitution(self):
         led = build_ledger(L=2.0, C=3.0, alpha=0.9, eta=0.4, M=2.0)
@@ -155,7 +143,7 @@ class TestLedger:
         led = build_ledger(L=0.5, C=0.5, alpha=1.0, eta=0.3, M=1.0)
         blob = json.loads(led.to_json())
         assert blob["rho"] == led.rho
-        assert blob["feasibility"]["closing_inequality"]
+        assert set(blob) == {"epsilon", "alpha", "L", "C_step", "M", "eta", "rho", "delta"}
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

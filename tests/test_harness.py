@@ -1,5 +1,6 @@
 """Config round trips, simulation orchestration, CLI surface."""
 
+import io
 import json
 import os
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sqgdiag.harness as harness_mod
-from sqgdiag.cli import main
+from sqgdiag.cli import _status_line, main
 from sqgdiag.harness import (
     DIAGNOSTIC_NAMES,
     INITIAL_CONDITIONS,
@@ -354,8 +355,7 @@ class TestDiagnose:
 
 
 class TestCli:
-    def test_simulate_and_diagnose(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SQG_NO_COLOR", "1")
+    def test_simulate_and_diagnose(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         out_dir = tmp_path / "out"
         cfg = RunConfig(
@@ -403,8 +403,7 @@ class TestCli:
                      "--out", str(diag_dir)]) == 0
         assert json.loads((diag_dir / "report.json").read_text())["counters"] == {}
 
-    def test_energy_audit_subcommand(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SQG_NO_COLOR", "1")
+    def test_energy_audit_subcommand(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         cfg = RunConfig(
             n=32, dt=5e-3, t_end=0.2, alpha=1.0, snapshot_interval=0.05,
@@ -445,10 +444,20 @@ class TestCli:
         blob = json.loads(captured.out)
         assert code == 0
         assert blob["rho"] == 1.0 / 16.0
-        assert blob["feasibility"]["closing_inequality"]
+        assert "feasibility" not in blob
 
-    def test_corrupt_checkpoint_structured_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SQG_NO_COLOR", "1")
+    def test_status_tag_is_colored_only_on_a_terminal(self, monkeypatch):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        monkeypatch.setattr(sys, "stdout", Terminal())
+        assert _status_line("tail", True) == "\033[32mPASS\033[0m tail"
+        assert _status_line("tail", False) == "\033[31mFAIL\033[0m tail"
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert _status_line("tail", True) == "PASS tail"
+
+    def test_corrupt_checkpoint_structured_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.sqgd"
         bad.write_bytes(b"SQGD" + bytes(10))
         code = main(["diagnose", str(bad), "--checks", "energy_audit"])
@@ -456,8 +465,7 @@ class TestCli:
         assert code == 2
         assert "error" in captured.err
 
-    def test_isoperimetric_subcommand(self, capsys, monkeypatch):
-        monkeypatch.setenv("SQG_NO_COLOR", "1")
+    def test_isoperimetric_subcommand(self, capsys):
         code = main(["isoperimetric", "--count", "2", "--samples", "20000"])
         captured = capsys.readouterr()
         assert code == 0
@@ -498,6 +506,8 @@ class TestCli:
              "eta must be a number at most 1"),
             (["isoperimetric", "--samples", "1"], "sample_count must be at least 2"),
             (["extension-check", "--epsilons", "0.0,x"], "could not convert"),
+            (["constants", "--L", "0.7", "--C", "1.2", "--alpha", "0.95", "--eta", "1e-17"],
+             "no oscillation improvement"),
         ],
     )
     def test_unusable_input_exits_2(self, argv, message, tmp_path, capsys):
@@ -560,8 +570,7 @@ class TestCli:
         assert main(argv) == 0
         assert calls == [expected]
 
-    def test_extension_check_subcommand(self, capsys, monkeypatch):
-        monkeypatch.setenv("SQG_NO_COLOR", "1")
+    def test_extension_check_subcommand(self, capsys):
         code = main(["extension-check", "--epsilons", "0.0,0.1", "--format", "csv"])
         captured = capsys.readouterr()
         assert code == 0

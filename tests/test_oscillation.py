@@ -630,6 +630,17 @@ class TestIterationSuite:
         assert "does not cover" in res.failure and "step 1" in res.failure
         assert res.passed is False
 
+    def test_no_improvement_at_step_1_is_a_structured_failure(self, monkeypatch):
+        # equal oscillations on Q_1 and Q_1/2 give eta = 0: choose_delta
+        # finds no exponent, and the suite ends before any record
+        monkeypatch.setattr(oscillation_module, "oscillation", lambda history, cyl: 0.5)
+        hist, M = decaying_mode_history()
+        res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3))
+        assert res.completed_steps == 0
+        assert np.isnan(res.delta)
+        assert "no oscillation improvement" in res.failure and "step 1" in res.failure
+        assert res.passed is False
+
     def test_normalization_preconditions_enforced(self):
         g = Grid(256, 4 * np.pi)
         hist = [ScalarField(g, np.full(g.shape, 1.5), t) for t in np.linspace(0, 1, 13)]

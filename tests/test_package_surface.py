@@ -213,3 +213,44 @@ def test_numpy_is_the_only_runtime_dependency():
 
     assert names(project["dependencies"]) == ["numpy"]
     assert {"scipy", "mpmath"} <= set(names(project["optional-dependencies"]["test"]))
+
+
+# Environment variables the package may read, each with its reason.  A new
+# knob is a setting no signature shows, so it has to be added here on purpose.
+ALLOWED_ENVIRONMENT = {}
+
+
+def environment_reads(tree):
+    """Names read through os.environ[...], os.environ.get(...) or
+    os.getenv(...); a name that is not a string literal reads as None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "environ":
+            key = node.slice
+        elif isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) == "getenv"
+            or (
+                getattr(node.func, "attr", None) == "get"
+                and getattr(node.func.value, "attr", None) == "environ"
+            )
+        ):
+            key = node.args[0] if node.args else None
+        else:
+            continue
+        yield key.value if isinstance(key, ast.Constant) else None
+
+
+def test_environment_scan_finds_every_form():
+    tree = ast.parse(
+        'a = os.environ.get("A", "")\nb = os.environ["B"]\nc = os.getenv("C")\n'
+        "d = os.getenv(name)\ne = dict(os.environ, F=1)\n"
+    )
+    assert list(environment_reads(tree)) == ["A", "B", "C", None]
+
+
+def test_no_environment_knob_outside_the_allowed_set():
+    found = {
+        name
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name in environment_reads(parse(path))
+    }
+    assert found <= set(ALLOWED_ENVIRONMENT)
