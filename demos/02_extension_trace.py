@@ -8,15 +8,9 @@ spectral fractional Laplacian of order 1 - eps, independently of the mode.
 
 import numpy as np
 
-from sqgdiag import Grid, ScalarField, fractional_laplacian, l2_norm, random_band_limited
-from sqgdiag.extension import (
-    calibrate_dtn_constant,
-    extend,
-    extension_profile,
-    neumann_trace,
-    trace_ladder,
-    weighted_dirichlet_energy,
-)
+from sqgdiag import Grid, ScalarField, sobolev_norm
+from sqgdiag.extension import extend, extension_profile, trace_ladder, weighted_dirichlet_energy
+from sqgdiag.harness import extension_report
 
 grid = Grid(64)
 
@@ -24,28 +18,17 @@ print("profile phi_eps(s) at s = 1 (phi_0 = e^-1 = %.6f):" % np.exp(-1.0))
 for eps in (0.0, 0.05, 0.1, 0.3):
     print(f"  eps = {eps}: phi({eps}) = {extension_profile(np.array([1.0]), eps)[0]:.6f}")
 
-print("\ncalibrated trace constants and their mode independence:")
-for eps in (0.0, 0.05, 0.1):
-    ds = [calibrate_dtn_constant(grid, eps, wavenumber=k) for k in (1, 2, 4, 8)]
-    spread = (max(ds) - min(ds)) / abs(np.mean(ds))
-    print(f"  eps = {eps}: d_eps = {ds[0]:+.6f}, spread over |k| in (1,2,4,8): {spread:.2e}")
-
-eps = 0.05
-theta = random_band_limited(grid, 6, [7, 0, 0])
-ext = extend(theta, trace_ladder(grid), eps)
-trace = neumann_trace(ext)
-d = calibrate_dtn_constant(grid, eps)
-target = fractional_laplacian(theta, 1.0 - eps)
-rel = l2_norm(ScalarField(grid, trace.values / d - target.values)) / l2_norm(target)
-print(f"\ntrace / d_eps vs spectral fractional Laplacian on a random field: "
-      f"rel L2 error {rel:.2e}")
+print("\nd_eps per eps, its spread over |k| in (1, 2, 4, 8), and trace / d_eps")
+print("against the spectral fractional Laplacian on a random field:")
+for section in extension_report(seed=7).sections:
+    print(f"  {section['name']}: d_eps = {section['d_eps']:+.6f}, "
+          f"spread {section['mode_spread']:.2e}, rel L2 error {section['trace_rel_error']:.2e}")
 
 # Dirichlet energy of the classical (eps = 0) extension of one mode
 x1, _ = grid.coordinates()
 mode = ScalarField(grid, np.sin(x1))
 z = np.unique(np.concatenate([trace_ladder(grid), np.linspace(0, 5, 81)]))
 value, estimate = weighted_dirichlet_energy(extend(mode, z, 0.0))
-from sqgdiag import sobolev_norm
 print(f"\nDirichlet energy of the harmonic extension of sin(x1): {value:.5f}")
 print(f"Hdot^(1/2) seminorm squared of the trace:               {sobolev_norm(mode, 0.5)**2:.5f}")
 print(f"(declared quadrature estimate {estimate:.1e})")

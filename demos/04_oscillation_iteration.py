@@ -47,13 +47,7 @@ print(f"measured eta_min = {outcome.eta_min:.3f}, chosen delta = {outcome.delta:
 print(f"fitted oscillation-decay exponent delta' = {outcome.fitted_decay_exponent:.3f}")
 
 # feed the measured constants back into the selection system
-rec = outcome.records
-L_eff = rec[0].w2_sup * M
-C_eff = max(
-    max(r.w2_sup for r in rec[1:]) * M / (-np.log(rho)),
-    max(r.w3_sup for r in rec[1:]) * M / rho,
-) if len(rec) > 1 else 0.0
-ledger = build_ledger(L_eff, C_eff, alpha, outcome.eta_min, M)
+ledger = build_ledger(outcome.L, outcome.C_step, alpha, outcome.eta_min, M)
 print("\nconstants ledger from the measured run:")
 print(ledger.to_json())
 

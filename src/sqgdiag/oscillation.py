@@ -42,7 +42,6 @@ import numpy as np
 
 from .constants import InfeasibleConstants, choose_delta
 from .spectral import (
-    Grid,
     RIESZ_KERNEL_CONSTANT,
     ScalarField,
     evaluate_on_lattice,
@@ -480,6 +479,7 @@ class OscillationRecord:
             "containment_ok": self.containment_ok,
             "hypothesis_ok": self.bounds.hypothesis_ok,
             "outside_ok": self.bounds.outside_ok,
+            "outside_ratio": self.bounds.worst_outside_ratio,
             "split_bound_ok": self.split_bound_ok,
             "M_monotone": self.bounds.M_monotone,
             "truncated_split": self.truncated_split,
@@ -510,6 +510,9 @@ class IterationResult:
     eta_min: float
     fitted_decay_exponent: float
     completed_steps: int
+    # the measured velocity constants in original units, as build_ledger takes them
+    L: float  # M sup|w2| at step 1; NaN when no step ran
+    C_step: float  # M max(sup|w2| / log(1/rho), sup|w3| / rho) over steps >= 2; 0 below two
     failure: str = ""  # the first failure; every early stop sets it
 
     @property
@@ -732,16 +735,23 @@ def run_iteration_suite(history, config):
         M_k = outcome.M_next
 
     slope = np.nan
+    C_step = 0.0
     if len(records) >= 2:
         ks = np.array([r.step_index for r in records], dtype=float)
         raws = np.array([max(r.raw_oscillation, 1e-300) for r in records])
         slope = np.polyfit(ks * np.log(rho), np.log(raws), 1)[0]
+        C_step = max(
+            max(r.w2_sup for r in records[1:]) * M / (-np.log(rho)),
+            max(r.w3_sup for r in records[1:]) * M / rho,
+        )
     return IterationResult(
         records=records,
         delta=float(delta) if delta is not None else np.nan,
         eta_min=float(eta_min) if np.isfinite(eta_min) else np.nan,
         fitted_decay_exponent=float(slope),
         completed_steps=len(records),
+        L=records[0].w2_sup * M if records else np.nan,
+        C_step=C_step,
         failure=failure,
     )
 

@@ -33,10 +33,8 @@ The dissipation seminorm has order alpha/2, i.e. half the order of the
 dissipation operator: the exact rate of L^2 decay is the pairing
 int theta_l * Lambda^alpha theta dx, which dominates the Hdot^(alpha/2)
 seminorm squared of theta_l but not the Hdot^alpha one (the order-alpha
-variant is violated already by theta = sin(2 x1) at level 0).  The audit
-records the pairing as well, since for smooth solutions the L^2 balance
-closes exactly against it.  The seminorm and the pairing are Parseval sums
-on the half spectrum (one rfft2 per snapshot and one per level); the energy
+variant is violated already by theta = sin(2 x1) at level 0).  The seminorm
+is a Parseval sum on the half spectrum (one rfft2 per level); the energy
 is the physical sum.  The time integrals are trapezoid sums over the
 snapshot gaps, which may differ; the L2 and L-infinity decay checks read
 their norms from the snapshots alone.
@@ -390,13 +388,10 @@ class EnergyAuditResult:
     ``hdot_alpha_accumulated[i, j]`` is the trapezoidal time integral up to
     the j-th snapshot of the squared Hdot^(alpha/2) seminorm of
     (theta - levels[i])_+, the dissipation seminorm of the order-alpha
-    equation.  ``pairing_accumulated`` integrates the exact dissipation
-    pairing int (theta - level)_+ Lambda^alpha theta dx, against which the
-    L^2 balance of smooth solutions closes as an identity.
+    equation.
     """
 
     hdot_alpha_accumulated: np.ndarray
-    pairing_accumulated: np.ndarray
     quad_allowance: np.ndarray  # same layout as hdot_alpha_accumulated
     violations: list  # (level, t1, t2, excess)
     passed: bool
@@ -421,22 +416,19 @@ def _cumulative_trapezoid(values, widths):
 def level_terms(field, levels, alpha):
     """Per-level terms of the energy audit at one snapshot.
 
-    Returns a (3, len(levels)) array: for t = (field - level)_+ the energy
-    sum_x t^2 h^2 (a physical sum), the squared Hdot^(alpha/2) seminorm of
-    t and the pairing int t Lambda^alpha field dx, the last two by Parseval
-    on the half spectrum from one rfft2 of the field and one per level.
+    Returns a (2, len(levels)) array: for t = (field - level)_+ the energy
+    sum_x t^2 h^2 (a physical sum) and the squared Hdot^(alpha/2) seminorm
+    of t, by Parseval on the half spectrum from one rfft2 per level.
     """
     grid = field.grid
     h2 = grid.spacing**2
     weight = half_spectrum(grid).radial_power(alpha)
-    lap_hat = weight * rfft2(field.values)
-    out = np.empty((3, len(levels)))
+    out = np.empty((2, len(levels)))
     for i, lam in enumerate(levels):
         trunc = truncate_level(field, lam).values
         t_hat = rfft2(trunc)
         out[0, i] = np.sum(trunc**2) * h2
         out[1, i] = parseval_sum(grid, t_hat, weight * t_hat)
-        out[2, i] = parseval_sum(grid, t_hat, lap_hat)
     return out
 
 
@@ -463,12 +455,10 @@ def audit_energy(history, levels, alpha):
     n_lev, n_t = len(levels), len(times)
     energy = np.zeros((n_lev, n_t))
     hdot = np.zeros((n_lev, n_t))
-    pairing = np.zeros((n_lev, n_t))
     for j, f in enumerate(history):
-        energy[:, j], hdot[:, j], pairing[:, j] = level_terms(f, levels, alpha)
+        energy[:, j], hdot[:, j] = level_terms(f, levels, alpha)
 
     hdot_acc = np.zeros((n_lev, n_t))
-    pair_acc = np.zeros((n_lev, n_t))
     allowance = np.zeros((n_lev, n_t))
     # Trapezoid error over a panel of width dt is (dt^2/12) * int |g''| up
     # to higher order, and int_panel g'' telescopes to differences of g'; the
@@ -483,7 +473,6 @@ def audit_energy(history, levels, alpha):
     QUAD_SAFETY = 3.0
     for i in range(n_lev):
         hdot_acc[i] = _cumulative_trapezoid(hdot[i], dt)
-        pair_acc[i] = _cumulative_trapezoid(pairing[i], dt)
         if n_t > 2:
             g = hdot[i]
             gprime = np.gradient(g, times, edge_order=2)
@@ -513,7 +502,6 @@ def audit_energy(history, levels, alpha):
                 )
     return EnergyAuditResult(
         hdot_alpha_accumulated=hdot_acc,
-        pairing_accumulated=pair_acc,
         quad_allowance=allowance,
         violations=violations,
         passed=not violations,
@@ -592,7 +580,8 @@ def write_checkpoint(path, field, alpha):
 
 
 def read_checkpoint(path, side_length=2.0 * np.pi):
-    """Decode a checkpoint; raises CheckpointError with byte positions.
+    """Decode a checkpoint into (field, alpha); raises CheckpointError with
+    byte positions.
 
     The format does not carry the domain side length; pass the one the run
     used (default 2*pi).
@@ -627,4 +616,4 @@ def read_checkpoint(path, side_length=2.0 * np.pi):
             f"non-finite payload value at byte {_HEADER.size + 8 * int(bad[0])}"
         )
     field = ScalarField(Grid(n, side_length), values.reshape(n, n).copy(), time_stamp)
-    return field, alpha, version
+    return field, alpha

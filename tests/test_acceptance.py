@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from sqgdiag.constants import build_ledger, choose_delta, choose_rho, rho_feasible
+from sqgdiag.constants import build_ledger, choose_rho, rho_feasible
 from sqgdiag.degiorgi import (
     ISOPERIMETRIC_CONSTANT,
     LOCAL_ENERGY_CONSTANT,
@@ -19,8 +19,8 @@ from sqgdiag.degiorgi import (
     local_energy_check,
     weighted_measure,
 )
-from sqgdiag.extension import calibrate_dtn_constant, extend, neumann_trace, trace_ladder
-from sqgdiag.harness import isoperimetric_report
+from sqgdiag.extension import extend, trace_ladder
+from sqgdiag.harness import extension_report, isoperimetric_report
 from sqgdiag.oscillation import (
     SPLIT_BOUND_CONSTANT,
     TAIL_CONSTANT,
@@ -34,7 +34,6 @@ from sqgdiag.solver import SolverConfig, audit_energy, check_linf_decay, run
 from sqgdiag.spectral import (
     Grid,
     ScalarField,
-    fractional_laplacian,
     l2_norm,
     random_band_limited,
     riesz_velocity,
@@ -161,22 +160,13 @@ def test_criterion_5_tail_lemma(ensemble):
 
 def test_criterion_6_dtn_verification():
     start = time.perf_counter()
-    grid = Grid(64)
-    ok = True
-    notes = []
-    for eps in (0.0, 0.05, 0.1):
-        ds = [calibrate_dtn_constant(grid, eps, wavenumber=k) for k in (1, 2, 4, 8)]
-        spread = (max(ds) - min(ds)) / abs(np.mean(ds))
-        theta = random_band_limited(grid, 6, [7, 0, 0])
-        trace = neumann_trace(extend(theta, trace_ladder(grid), eps))
-        target = fractional_laplacian(theta, 1.0 - eps)
-        rel = l2_norm(
-            ScalarField(grid, trace.values / ds[0] - target.values)
-        ) / l2_norm(target)
-        ok = ok and rel <= 0.01 and spread <= 0.005
-        notes.append(f"eps={eps}: rel {rel:.1e}, spread {spread:.1e}")
+    sections = extension_report(seed=7).sections
     elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 30.0
+    ok = all(s["passed"] for s in sections) and elapsed < 30.0
+    notes = [
+        f"{s['name']}: rel {s['trace_rel_error']:.1e}, spread {s['mode_spread']:.1e}"
+        for s in sections
+    ]
     report(6, ok, "; ".join(notes) + f"; runtime {elapsed:.1f}s (< 30s)")
 
 
@@ -278,12 +268,7 @@ def test_criterion_10_iteration_suite():
     ok = outcome.passed and outcome.fitted_decay_exponent > 0.0
     ok = ok and elapsed < 300.0
     # the measured constants keep the ledger's rho choice consistent
-    w2_step1 = outcome.records[0].w2_sup * M
-    c_eff = max(
-        max(r.w2_sup for r in outcome.records[1:]) * M / (-np.log(rho)),
-        max(r.w3_sup for r in outcome.records[1:]) * M / rho,
-    )
-    ok = ok and choose_rho(w2_step1, c_eff, alpha) == rho
+    ok = ok and choose_rho(outcome.L, outcome.C_step, alpha) == rho
     # the split bound is judged from step 2 on
     split_ratio = max(r.w2_sup for r in outcome.records[1:]) / (
         SPLIT_BOUND_CONSTANT * -np.log(rho)

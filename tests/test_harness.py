@@ -223,7 +223,7 @@ class TestSimulate:
             output_dir=str(tmp_path / "sm"),
         )
         paths, report = simulate(cfg)
-        final, alpha, _ = read_checkpoint(paths[-1])
+        final, alpha = read_checkpoint(paths[-1])
         g = Grid(64)
         x1, _ = g.coordinates()
         exact = np.exp(-0.5) * np.sin(x1)
@@ -242,7 +242,7 @@ class TestSimulate:
         )
         paths, _ = simulate(cfg)
         assert len(paths) == 1
-        field, _, _ = read_checkpoint(paths[0])
+        field, _ = read_checkpoint(paths[0])
         g = Grid(32)
         x1, _ = g.coordinates()
         assert np.array_equal(field.values, np.sin(x1))

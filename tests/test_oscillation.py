@@ -637,9 +637,23 @@ class TestIterationSuite:
         hist, M = decaying_mode_history()
         res = run_iteration_suite(hist, IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=3))
         assert res.completed_steps == 0
-        assert np.isnan(res.delta)
+        assert np.isnan(res.delta) and np.isnan(res.L) and res.C_step == 0.0
         assert "no oscillation improvement" in res.failure and "step 1" in res.failure
         assert res.passed is False
+
+    def test_measured_velocity_constants(self):
+        # L = M sup|w2| at step 1, C_step = M max(sup|w2| / log(1/rho),
+        # sup|w3| / rho) over steps >= 2, as build_ledger takes them
+        rho = 1 / 16
+        hist, M = decaying_mode_history()
+        res = run_iteration_suite(hist, IterationConfig(rho=rho, M=M, alpha=0.95, steps=2))
+        assert res.completed_steps == 2 and res.passed, res.failure
+        first, second = res.records
+        assert res.L == first.w2_sup * M
+        assert res.C_step == max(second.w2_sup * M / (-np.log(rho)), second.w3_sup * M / rho)
+        assert res.L > 0.0 and res.C_step > 0.0
+        one = run_iteration_suite(hist, IterationConfig(rho=rho, M=M, alpha=0.95, steps=1))
+        assert one.L == res.L and one.C_step == 0.0
 
     def test_normalization_preconditions_enforced(self):
         g = Grid(256, 4 * np.pi)
@@ -685,6 +699,7 @@ class TestIterationSuite:
         for line in res.report_lines():
             blob = json.loads(line)
             assert {"k", "r_k", "osc", "max_V", "M_k", "far_empty", "split_bound_ok"} <= set(blob)
+            assert blob["outside_ok"] == (blob["outside_ratio"] <= 1 + 1e-9)
 
     def test_far_empty_reported_apart_from_truncation(self, monkeypatch):
         # rho = 1/4 on a 4 pi torus: from step 2 on, B_8 overflows the
