@@ -34,7 +34,6 @@ result = run(theta0, SolverConfig(alpha=alpha, dt=6e-3, t_end=t_end),
              snapshot_times=schedule)
 
 window, M = normalize_window(result.history, t_end=t_end)
-del result  # the iteration reads only the normalized copy
 print(f"normalization scale M = {M:.3f}\n")
 
 outcome = run_iteration_suite(window, IterationConfig(rho=rho, M=M, alpha=alpha, steps=steps))

@@ -8,8 +8,9 @@ takes --config <path>.  The options of extension-check, isoperimetric and
 ``diagnose --side-length`` are passed to the harness only when given.  The
 per-check pass/fail tags are colored when standard output is a terminal.
 Exit status is 1 iff an enabled check fails, and 2 for unusable input (a bad
-config, checkpoint, path or argument value, or constants for which no rho or
-delta exists), reported as one ``error:`` line on stderr.  constants has no
+config, checkpoint, path or argument value, constants for which no rho or
+delta exists, or a run stopped by the solver's CFL or blow-up guard),
+reported as one ``error:`` line on stderr.  constants has no
 check to fail: it prints the ledger and exits 0.
 """
 
@@ -26,6 +27,7 @@ from .harness import (
     load_config,
     simulate,
 )
+from .solver import BlowUpError, StabilityError
 
 
 def _status_line(name, passed):
@@ -104,7 +106,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, StabilityError, BlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,8 +33,8 @@ from .solver import (
     audit_energy,
     check_l2_monotone,
     check_linf_decay,
+    integrate,
     read_checkpoint,
-    run,
     write_checkpoint,
 )
 from .spectral import (
@@ -186,26 +186,34 @@ def snapshot_schedule(config):
 def simulate(config, out_dir=None):
     """Run the configured simulation; write checkpoints, series and report.
 
-    Returns (checkpoint paths, RunReport).  Bit-identical output for the
-    same config and seed.
+    Each checkpoint is written as the solver yields it, so one snapshot is
+    held at a time and a run stopped by a solver guard leaves those before
+    the stop.  Returns (checkpoint paths, RunReport); ``simulate_seconds``
+    covers the checkpoint writes too.  Bit-identical output for the same
+    config and seed.
     """
     out = out_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
     theta0 = initial_field(config)
     sc = SolverConfig(config.alpha, config.dt, config.t_end)
-    result = run(theta0, sc, snapshot_times=snapshot_schedule(config))
-    wall = time.perf_counter() - t0
-
+    stepping = integrate(theta0, sc, snapshot_schedule(config))
     paths = []
-    for i, snap in enumerate(result.history):
-        path = os.path.join(out, f"checkpoint_{i:04d}.sqgd")
+    while True:
+        try:
+            snap = next(stepping)
+        except StopIteration as end:
+            times, l2_norms, linf_norms, steps, phi_builds = end.value
+            break
+        path = os.path.join(out, f"checkpoint_{len(paths):04d}.sqgd")
         write_checkpoint(path, snap, config.alpha)
         paths.append(path)
+    wall = time.perf_counter() - t0
+
     series_path = os.path.join(out, "series.csv")
     with open(series_path, "w") as fh:
         fh.write("time,l2_norm,linf_norm\n")
-        for t, a, b in zip(result.times, result.l2_norms, result.linf_norms):
+        for t, a, b in zip(times, l2_norms, linf_norms):
             fh.write(f"{t!r},{a!r},{b!r}\n")
 
     report = RunReport(
@@ -215,13 +223,13 @@ def simulate(config, out_dir=None):
                 "name": "simulation",
                 "passed": True,
                 "snapshots": len(paths),
-                "final_time": float(result.final.time_stamp),
-                "final_l2": float(result.l2_norms[-1]),
-                "final_linf": float(result.linf_norms[-1]),
+                "final_time": float(snap.time_stamp),
+                "final_l2": float(l2_norms[-1]),
+                "final_linf": float(linf_norms[-1]),
             }
         ],
         timings={"simulate_seconds": wall},
-        counters={"solver.steps": result.steps, "solver.phi_builds": result.phi_builds},
+        counters={"solver.steps": steps, "solver.phi_builds": phi_builds},
     )
     with open(os.path.join(out, "report.json"), "w") as fh:
         fh.write(report.to_json())

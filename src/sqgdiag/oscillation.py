@@ -24,8 +24,9 @@ argument as measurable diagnostics on simulation output:
   velocity against SPLIT_BOUND_CONSTANT among them), and
   ``IterationResult.passed`` is its one verdict.  Each step reads only
   the previous iterate, whose snapshots are freed one by one as their
-  rescaled successors are made, so besides the caller's history the
-  iteration holds at most one generation of iterates.
+  rescaled successors are made, so besides the caller's history (the
+  only copy: normalize_window's views divide on each read) the iteration
+  holds at most one generation of iterates.
 
 Every step is zoomed and recentred into one frame: balls about the domain
 centre (``Grid.center``) and time windows that end at t = 1, where
@@ -256,6 +257,8 @@ class VelocitySplit:
         if self.rho is not None and not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
         grid = self.theta.grid
+        # read once: a normalized view divides on every read of ``values``
+        self._values = self.theta.values
         d1c, d2c = grid.displacement(grid.center)
         r2 = d1c**2 + d2c**2
         outside_b2 = r2 >= 4.0
@@ -272,12 +275,12 @@ class VelocitySplit:
         self.far_empty = not self._far.any()
         self.w_bar = np.zeros(2)
         if not self.far_empty:
-            self.w_bar = _kernel_sum(self.theta.values, d1c, d2c, self._far, grid.spacing)
+            self.w_bar = _kernel_sum(self._values, d1c, d2c, self._far, grid.spacing)
 
     def w2(self, point):
         grid = self.theta.grid
         d1, d2 = grid.displacement(point)
-        return _kernel_sum(self.theta.values, d1, d2, self._annulus, grid.spacing)
+        return _kernel_sum(self._values, d1, d2, self._annulus, grid.spacing)
 
     def w3(self, point):
         """Far piece with the kernel recentred at the domain centre."""
@@ -285,7 +288,7 @@ class VelocitySplit:
             return np.zeros(2)
         grid = self.theta.grid
         d1, d2 = grid.displacement(point)
-        return _kernel_sum(self.theta.values, d1, d2, self._far, grid.spacing) - self.w_bar
+        return _kernel_sum(self._values, d1, d2, self._far, grid.spacing) - self.w_bar
 
     def slow(self, point):
         """w2 + w3: the continuous-in-x components driving the flow ODE."""
@@ -298,7 +301,7 @@ class VelocitySplit:
         kernel spectrum give the sum at every node; the kernel holds the
         antipodal offset at -L/2, as ``Grid.offsets`` does.
         """
-        spec = rfft2(np.where(region, self.theta.values, 0.0))
+        spec = rfft2(np.where(region, self._values, 0.0))
         k1, k2 = _kernel_spectrum(self.theta.grid)
         c1 = irfft2(spec * np.conj(k1))
         c2 = irfft2(spec * np.conj(k2))
@@ -756,24 +759,35 @@ def run_iteration_suite(history, config):
     )
 
 
+class _Normalized:
+    """A raw snapshot, relabelled in time, whose ``values`` reads a fresh
+    ``raw.values / scale``: no divided copy is held, and the raw field's
+    finiteness scan is not run again."""
+
+    def __init__(self, raw, scale, time_stamp):
+        self.raw, self.scale, self.time_stamp = raw, scale, time_stamp
+        self.grid = raw.grid
+
+    @property
+    def values(self):
+        return self.raw.values / self.scale
+
+
 def normalize_window(history, t_end):
     """Rescale a raw history to the normalized iteration setup.
 
     Selects snapshots in (t_end - 1, t_end], relabels times to (0, 1], and
     divides values by s = max(sup |theta|, tail at window start), so that
     both normalization preconditions hold; returns (new history, M = s).
+    The new history is views that hold the raw snapshots.
     """
     if not history:
         raise ValueError("empty history")
-    grid = history[0].grid
     window = [f for f in history if t_end - 1.0 - 1e-9 <= f.time_stamp <= t_end + 1e-9]
     if not window:
         raise ValueError("no snapshots in the unit window")
     sup = max(float(np.max(np.abs(f.values))) for f in window)
     tail0 = tail_integral(window[0])
     s = max(sup, tail0, 1e-300)
-    out = [
-        ScalarField(grid, f.values / s, f.time_stamp - (t_end - 1.0))
-        for f in window
-    ]
+    out = [_Normalized(f, s, f.time_stamp - (t_end - 1.0)) for f in window]
     return out, float(s)

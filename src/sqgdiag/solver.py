@@ -121,10 +121,9 @@ class SolverConfig:
 
 
 def truncate_level(theta, level):
-    """Level-set truncation (theta - level)_+."""
-    return ScalarField(
-        theta.grid, np.maximum(theta.values - level, 0.0), theta.time_stamp
-    )
+    """Level-set truncation (theta - level)_+, clipped in the one new array."""
+    values = theta.values - level
+    return ScalarField(theta.grid, np.maximum(values, 0.0, out=values), theta.time_stamp)
 
 
 def _phi_coefficients(z_flat, dt):
@@ -294,20 +293,12 @@ class SimulationResult:
     phi_builds: int  # phi-table sets built, rebuilds after eviction included
 
 
-def run(theta0, config, snapshot_times=None):
-    """Integrate from theta0 to t_end, saving snapshots at requested times.
+def integrate(theta0, config, snapshot_times=None):
+    """``run``'s stepping loop as a generator of its snapshots.
 
-    Each gap is covered with uniform sub-steps no longer than config.dt.  A
-    snapshot is stamped with the running sum of those sub-steps, not with
-    the requested time: a snapshot requested at 0.1 is stamped
-    0.09999999999999999.  Stamping the requested time moves the
-    benchmark's reference scalars, so it waits for ROADMAP item 3.  A
-    requested time outside [theta0.time_stamp, t_end], beyond
-    1e-9 max(1, t_end) of rounding, is a ValueError, and so is an empty
-    request; a time within that rounding below the start stores the initial
-    field.  ``final`` is the last snapshot.  Per-step L2 and L-infinity
-    norms are recorded for the decay diagnostics.  ``steps`` and
-    ``phi_builds`` are the solver's counts.  Deterministic for fixed input.
+    It returns (``StopIteration.value``) the fields of ``SimulationResult``
+    after ``final``.  A guard raises from the ``next`` call that reaches it,
+    after every earlier snapshot has been yielded.
     """
     require_mean_zero(theta0, "the solver")
     grid = theta0.grid
@@ -333,10 +324,9 @@ def run(theta0, config, snapshot_times=None):
     times = [t]
     l2s = [float(np.sqrt(np.sum(theta0.values**2) * h2))]
     linfs = [float(np.max(np.abs(theta0.values)))]
-    history = []
     if targets[0] - t < 1e-12:
-        # store the initial snapshot verbatim (no transform round trip)
-        history.append(ScalarField(grid, theta0.values.copy(), t))
+        # the initial snapshot verbatim (no transform round trip)
+        yield ScalarField(grid, theta0.values.copy(), t)
         targets = targets[1:]
 
     prev_max = max(linfs[0], 1e-300)
@@ -368,17 +358,33 @@ def run(theta0, config, snapshot_times=None):
             times.append(t)
             l2s.append(float(np.sqrt(np.sum(vals**2) * h2)))
             linfs.append(cur_max)
-        history.append(ScalarField(grid, vals.copy(), t))
+        yield ScalarField(grid, vals.copy(), t)
 
-    return SimulationResult(
-        history=history,
-        final=history[-1],
-        times=np.asarray(times),
-        l2_norms=np.asarray(l2s),
-        linf_norms=np.asarray(linfs),
-        steps=solver.steps,
-        phi_builds=solver.phi_builds,
-    )
+    return np.asarray(times), np.asarray(l2s), np.asarray(linfs), solver.steps, solver.phi_builds
+
+
+def run(theta0, config, snapshot_times=None):
+    """Integrate from theta0 to t_end, saving snapshots at requested times.
+
+    Each gap is covered with uniform sub-steps no longer than config.dt.  A
+    snapshot is stamped with the running sum of those sub-steps, not with
+    the requested time: a snapshot requested at 0.1 is stamped
+    0.09999999999999999.  Stamping the requested time moves the
+    benchmark's reference scalars, so it waits for ROADMAP item 3.  A
+    requested time outside [theta0.time_stamp, t_end], beyond
+    1e-9 max(1, t_end) of rounding, is a ValueError, and so is an empty
+    request; a time within that rounding below the start stores the initial
+    field.  ``final`` is the last snapshot.  Per-step L2 and L-infinity
+    norms are recorded for the decay diagnostics.  ``steps`` and
+    ``phi_builds`` are the solver's counts.  Deterministic for fixed input.
+    """
+    history = []
+    stepping = integrate(theta0, config, snapshot_times)
+    while True:
+        try:
+            history.append(next(stepping))
+        except StopIteration as end:
+            return SimulationResult(history, history[-1], *end.value)
 
 
 @dataclass
@@ -576,7 +582,7 @@ def write_checkpoint(path, field, alpha):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(field.values.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8"))
 
 
 def read_checkpoint(path, side_length=2.0 * np.pi):

@@ -4,7 +4,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields
+import tracemalloc
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from sqgdiag.harness import (
     DIAGNOSTIC_NAMES,
     INITIAL_CONDITIONS,
     RunConfig,
+    RunReport,
     diagnose,
     extension_report,
+    initial_field,
     load_config,
     parse_config,
     simulate,
@@ -282,6 +285,61 @@ class TestSimulate:
         run(zero, SolverConfig(cfg.alpha, cfg.dt, cfg.t_end), snapshot_times=times)
 
 
+class TestStreaming:
+    def test_simulate_writes_what_run_makes(self, config, tmp_path):
+        paths, _ = simulate(config)
+        sc = SolverConfig(config.alpha, config.dt, config.t_end)
+        result = run(initial_field(config), sc, snapshot_times=snapshot_schedule(config))
+        assert len(paths) == len(result.history)
+        for path, snap in zip(paths, result.history):
+            write_checkpoint(tmp_path / "ref.sqgd", snap, config.alpha)
+            assert open(path, "rb").read() == (tmp_path / "ref.sqgd").read_bytes()
+        rows = zip(result.times, result.l2_norms, result.linf_norms)
+        series = "time,l2_norm,linf_norm\n" + "".join(f"{t!r},{a!r},{b!r}\n" for t, a, b in rows)
+        assert open(os.path.join(config.output_dir, "series.csv")).read() == series
+        text = open(os.path.join(config.output_dir, "report.json")).read()
+        expected = RunReport(
+            config_echo=asdict(config),
+            sections=[
+                {
+                    "name": "simulation",
+                    "passed": True,
+                    "snapshots": len(result.history),
+                    "final_time": float(result.final.time_stamp),
+                    "final_l2": float(result.l2_norms[-1]),
+                    "final_linf": float(result.linf_norms[-1]),
+                }
+            ],
+            timings=json.loads(text)["timings"],
+            counters={"solver.steps": result.steps, "solver.phi_builds": result.phi_builds},
+        )
+        assert text == expected.to_json()
+
+    def test_simulate_holds_one_snapshot_at_a_time(self, tmp_path):
+        # equal steps and a full phi cache on both runs: their peaks differ
+        # only by what the snapshots hold
+        def cfg(count):
+            return RunConfig(
+                n=128, alpha=0.95, dt=5e-3, t_end=0.4, seed=3,
+                initial_condition="random_band_limited",
+                snapshot_interval=0.4 / (count - 1), output_dir=str(tmp_path / str(count)),
+            )
+
+        simulate(cfg(2))  # warms the grid's shared operator
+        peaks, counters = {}, []
+        for count in (11, 41):
+            tracemalloc.start()
+            try:
+                paths, report = simulate(cfg(count))
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(paths) == count
+            counters.append(report.counters)
+        assert counters[0] == counters[1] == {"solver.steps": 80, "solver.phi_builds": 8}
+        assert abs(peaks[41] - peaks[11]) < 128 * 128 * 8
+
+
 class TestDiagnose:
     def test_empty_toggles(self, config):
         paths, _ = simulate(config)
@@ -519,6 +577,20 @@ class TestCli:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_solver_guard_exits_2_and_keeps_what_it_wrote(self, tmp_path, capsys):
+        # dt = 0.5 fails the CFL guard on the first step, after the t = 0
+        # checkpoint was written
+        (tmp_path / "run.cfg").write_text(
+            "n = 64\ndt = 0.5\nic_amplitude = 8\ninitial_condition = random_band_limited\n"
+        )
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "CFL bound" in err
+        assert sorted(os.listdir(out)) == ["checkpoint_0000.sqgd"]
 
     @pytest.mark.parametrize(
         "line,argv,message",

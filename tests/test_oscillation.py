@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -454,6 +455,43 @@ def decaying_mode_history():
     times = np.concatenate([[0.0], times[times > 0]])
     raw = [ScalarField(g, np.exp(-t) * np.sin(x1 - L / 2), t) for t in times]
     return normalize_window(raw, t_end=1.0)
+
+
+class TestNormalizeWindow:
+    def test_views_divide_the_raw_snapshots_on_each_read(self):
+        g = Grid(64, 4 * np.pi)
+        base = random_band_limited(g, 4, [5, 0, 0], amplitude=3.0).values
+        raw = [ScalarField(g, base * (2.0 - t), t) for t in np.linspace(0.0, 1.5, 7)]
+        hist, s = normalize_window(raw, t_end=1.5)
+        kept = raw[2:]  # stamps 0.5 .. 1.5
+        assert len(hist) == len(kept)
+        for view, f in zip(hist, kept):
+            assert np.array_equal(view.values, f.values / s)
+            assert view.values is not view.values
+            assert view.grid is g and view.time_stamp == f.time_stamp - 0.5
+
+    def test_normalizing_holds_no_divided_copy(self):
+        g = Grid(256, 4 * np.pi)
+        base = random_band_limited(g, 6, [42, 0, 0], amplitude=2.0).values
+        raw = [ScalarField(g, base * (2.0 - t), t) for t in np.linspace(0.25, 1.25, 61)]
+        normalize_window(raw, t_end=1.25)  # warms the grid's displacement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hist, _ = normalize_window(raw, t_end=1.25)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(hist) == 61
+        assert grown < base.nbytes
+
+    def test_suite_records_equal_on_views_and_on_fields(self):
+        hist, M = decaying_mode_history()
+        fields = [ScalarField(f.grid, f.values, f.time_stamp) for f in hist]
+        config = IterationConfig(rho=1 / 16, M=M, alpha=0.95, steps=2, ode_step_divisor=8)
+        on_views = run_iteration_suite(hist, config)
+        assert on_views.passed, on_views.failure
+        assert on_views.records == run_iteration_suite(fields, config).records
 
 
 def pin_delta(monkeypatch, delta):

@@ -1,5 +1,6 @@
 """Solver: exact dissipation, advection, energy bookkeeping, checkpoints."""
 
+import struct
 import tracemalloc
 
 import mpmath
@@ -492,6 +493,17 @@ class TestTruncateLevel:
         out = truncate_level(single_mode(grid), 2.0)
         assert np.all(out.values == 0.0)
 
+    def test_allocates_one_field(self):
+        theta = random_band_limited(Grid(256), 6, [33, 0, 0])
+        tracemalloc.start()
+        try:
+            out = truncate_level(theta, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.values, np.maximum(theta.values - 0.1, 0.0))
+        assert peak < 1.5 * theta.values.nbytes
+
     def test_positive_part_quadrature(self, grid):
         # || (sin x1)_+ ||_L2^2 is half of || sin x1 ||_L2^2
         theta = single_mode(grid)
@@ -860,6 +872,26 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match=f"non-finite payload value at byte {offset}$"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_file_is_the_packed_header_and_little_endian_payload(self, grid, tmp_path, order):
+        # row-major whatever the memory order of the values
+        values = np.asarray(random_band_limited(grid, 5, [31, 0, 0]).values, order=order)
+        path = tmp_path / "snap.sqgd"
+        write_checkpoint(path, ScalarField(grid, values, 0.75), alpha=0.9)
+        header = struct.pack("<4sIIdd", b"SQGD", 1, grid.n, 0.9, 0.75)
+        assert path.read_bytes() == header + values.astype("<f8").tobytes(order="C")
+
+    def test_write_copies_no_payload(self, tmp_path):
+        theta = random_band_limited(Grid(256), 6, [32, 0, 0])
+        write_checkpoint(tmp_path / "warm.sqgd", theta, alpha=0.9)
+        tracemalloc.start()
+        try:
+            write_checkpoint(tmp_path / "snap.sqgd", theta, alpha=0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.values.nbytes / 4
 
     def test_golden_fixture_layout(self, tmp_path):
         # byte layout frozen by hand: header 28 bytes, little-endian fields
